@@ -1,0 +1,23 @@
+
+def build_record(i):
+    return {"id": i,
+            "name": "user-%d" % i,
+            "score": i * 0.75,
+            "tags": ["alpha", "beta", "g%d" % (i % 10)],
+            "active": i % 3 == 0,
+            "address": {"street": "%d Main St" % (i * 7 % 100),
+                        "zip": "%05d" % (i * 13 % 99999)}}
+
+def build_records(n):
+    out = []
+    for i in xrange(n):
+        out.append(build_record(i))
+    return out
+
+records = build_records(60)
+blob = pickle.dumps(records)
+total = 0
+for rep in xrange(40):
+    back = pickle.loads(blob)
+    total += len(back) + back[3]["id"]
+print(total, len(blob))
