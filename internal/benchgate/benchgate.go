@@ -37,9 +37,17 @@ var Table = []Gate{
 		Name:       "dispatch-quickened",
 		Package:    "./internal/interp/",
 		Test:       "TestQuickenedDispatchGuard",
-		MinSpeedup: 2.0,
+		MinSpeedup: 1.4,
 		Baseline:   "cold interpreter (quickening off)",
 		Optimized:  "tier-2 quickened (poly ICs + fusion + unboxed-int)",
+	},
+	{
+		Name:       "serving-unarmed",
+		Package:    "./internal/runtime/",
+		Test:       "TestServingUnarmedGuard",
+		MinSpeedup: 3.0,
+		Baseline:   "ServingConfig run with a CountSink armed (events built and delivered)",
+		Optimized:  "the same run with no sink armed (no per-event work)",
 	},
 	{
 		Name:           "router-dedup-overhead",

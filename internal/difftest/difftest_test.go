@@ -361,3 +361,74 @@ func TestChaosDiffFlagsWedgedLeg(t *testing.T) {
 		t.Fatalf("want wedged-leg divergence, got %q", d)
 	}
 }
+
+// TestArmedLegPair: the default and quickening matrices each carry an
+// armed refcount leg and an armed generational+JIT leg whose twins exist;
+// on a program that raises, an armed leg really observes events and
+// reproduces its twin's counters; and armedDiff flags each kind of
+// departure (a sink that saw nothing, a bytecode, a refcount, any other
+// counter).
+func TestArmedLegPair(t *testing.T) {
+	for name, legs := range map[string][]Leg{"default": Legs(nil, nil), "quicken": QuickenLegs()} {
+		names := map[string]Leg{}
+		var rc, gen int
+		for _, l := range legs {
+			names[l.Name] = l
+		}
+		for _, l := range legs {
+			if l.ArmedTwin == "" {
+				continue
+			}
+			twin, ok := names[l.ArmedTwin]
+			if !ok || twin.ArmedTwin != "" || twin.Heap != l.Heap || twin.JIT != l.JIT {
+				t.Errorf("%s: armed leg %s has no identical unarmed twin %q", name, l.Name, l.ArmedTwin)
+			}
+			if l.JIT != nil && l.Heap.Kind == gc.Generational {
+				gen++
+			} else {
+				rc++
+			}
+		}
+		if rc != 1 || gen != 1 {
+			t.Errorf("%s: %d refcount + %d gen-GC/JIT armed legs, want 1 + 1", name, rc, gen)
+		}
+	}
+
+	src := `def hot(n):
+    acc = []
+    for i in xrange(n):
+        acc.append((i, str(i)))
+    return acc[n]
+print(hot(1500))
+`
+	for _, twin := range []Leg{Legs(nil, nil)[0], QuickenLegs()[len(QuickenLegs())-2]} {
+		armed := twin
+		armed.Name, armed.ArmedTwin = twin.Name+"+armed", twin.Name
+		a, err := Execute(twin, "armed.py", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Execute(armed, "armed.py", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(a.Err, "IndexError") || a.Events != 0 || b.Events == 0 {
+			t.Fatalf("%s: err %q, events unarmed %d armed %d", twin.Name, a.Err, a.Events, b.Events)
+		}
+		if d := diffOutcomes(a, b) + armedDiff(a, b); d != "" {
+			t.Errorf("%s: arming the sink changed the run: %s", twin.Name, d)
+		}
+		for want, doctor := range map[string]func(o *Outcome){
+			"no events":        func(o *Outcome) { o.Events = 0 },
+			"bytecodes":        func(o *Outcome) { o.Snap.Bytecodes++ },
+			"net refcounts":    func(o *Outcome) { o.Snap.Heap.Increfs++ },
+			"runtime counters": func(o *Outcome) { o.Snap.Heap.Allocations++ },
+		} {
+			bad := *b
+			doctor(&bad)
+			if d := armedDiff(a, &bad); !strings.Contains(d, want) {
+				t.Errorf("%s: doctored %q not flagged: %q", twin.Name, want, d)
+			}
+		}
+	}
+}

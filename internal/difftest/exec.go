@@ -65,6 +65,13 @@ type Leg struct {
 	// re-registers it, so the run executes a recompiled-after-eviction
 	// code object.
 	ProgStore string
+	// ArmedTwin, when set, runs this leg with an observing event sink
+	// armed (an isa.CountSink) and names the leg it is otherwise
+	// identical to. Emission is instrumentation: beyond the usual
+	// agreement with the baseline, the armed leg must reproduce its
+	// unarmed twin's bytecode count, net refcounts and every other
+	// runtime counter exactly.
+	ArmedTwin string
 	// Deadline is the leg's hard wall-clock guard, armed through
 	// interp.Limits.Deadline (default DefaultLegDeadline). A wedged leg
 	// — looping forever without tripping the bytecode budget, e.g. stuck
@@ -96,6 +103,7 @@ func Legs(nurseries []uint64, mutate func(*jit.Config)) []Leg {
 	}
 	legs := []Leg{
 		{Name: "cpython", Heap: gc.DefaultRefCountConfig()},
+		{Name: "cpython+armed", Heap: gc.DefaultRefCountConfig(), ArmedTwin: "cpython"},
 		// Quickening legs: the cold interpreter (inline caches off
 		// entirely) and the churn leg (caches flushed after every 32nd
 		// fill, so guard invalidation and refill run constantly). Both
@@ -116,6 +124,7 @@ func Legs(nurseries []uint64, mutate func(*jit.Config)) []Leg {
 		{Name: "progstore-seeded", Heap: gc.DefaultRefCountConfig(), ProgStore: "seeded"},
 		{Name: "progstore-evict-churn", Heap: gc.DefaultRefCountConfig(), ProgStore: "evict-churn"},
 	}
+	var armed Leg
 	for _, n := range nurseries {
 		legs = append(legs, Leg{
 			Name: fmt.Sprintf("pypy-nojit/%dk", n>>10),
@@ -132,14 +141,21 @@ func Legs(nurseries []uint64, mutate func(*jit.Config)) []Leg {
 			if mutate != nil {
 				mutate(&cfg)
 			}
-			legs = append(legs, Leg{
+			leg := Leg{
 				Name: fmt.Sprintf("%s/%dk", m.name, n>>10),
 				Heap: gc.DefaultGenConfig(n),
 				JIT:  &cfg,
-			})
+			}
+			legs = append(legs, leg)
+			if armed.Name == "" {
+				// One generational + JIT leg armed: pypy-jit at the first
+				// nursery size.
+				armed = leg
+				armed.Name, armed.ArmedTwin = leg.Name+"+armed", leg.Name
+			}
 		}
 	}
-	return legs
+	return append(legs, armed)
 }
 
 // QuickenLegs builds the quickening-focused leg matrix (pyfuzz -quicken):
@@ -151,6 +167,7 @@ func QuickenLegs() []Leg {
 	jitCfg := jit.DefaultConfig()
 	return []Leg{
 		{Name: "cpython", Heap: gc.DefaultRefCountConfig()},
+		{Name: "cpython+armed", Heap: gc.DefaultRefCountConfig(), ArmedTwin: "cpython"},
 		{Name: "cold-ic", Heap: gc.DefaultRefCountConfig(), NoQuicken: true},
 		{Name: "ic-flush/1", Heap: gc.DefaultRefCountConfig(), ICFlushEvery: 1},
 		{Name: "ic-flush/8", Heap: gc.DefaultRefCountConfig(), ICFlushEvery: 8},
@@ -163,6 +180,7 @@ func QuickenLegs() []Leg {
 		{Name: "progstore-seeded", Heap: gc.DefaultRefCountConfig(), ProgStore: "seeded"},
 		{Name: "progstore-evict-churn", Heap: gc.DefaultRefCountConfig(), ProgStore: "evict-churn"},
 		{Name: "pypy-jit-quick/256k", Heap: gc.DefaultGenConfig(256 << 10), JIT: &jitCfg},
+		{Name: "pypy-jit-quick/256k+armed", Heap: gc.DefaultGenConfig(256 << 10), JIT: &jitCfg, ArmedTwin: "pypy-jit-quick/256k"},
 	}
 }
 
@@ -178,6 +196,9 @@ type Outcome struct {
 	Globals  string
 	Snap     interp.Snapshot
 	JIT      *jit.Stats
+	// Events is the number of micro-events an armed leg's sink observed
+	// (zero on every other leg).
+	Events uint64
 	// Faults renders the fault injector's site/fired counts (chaos legs);
 	// FaultsFired is the total injected faults this execution.
 	Faults      string
@@ -199,9 +220,13 @@ func Execute(leg Leg, name, src string, budget uint64) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := emit.NewEngine(isa.NullSink{})
+	var counts isa.CountSink
+	var sink isa.Sink = isa.NullSink{}
+	if leg.ArmedTwin != "" {
+		sink = &counts
+	}
 	var out strings.Builder
-	vm := interp.New(eng, leg.Heap, &out)
+	vm := interp.New(emit.NewEngine(sink), leg.Heap, &out)
 	if budget == 0 {
 		budget = DefaultBudget
 	}
@@ -293,6 +318,7 @@ func Execute(leg Leg, name, src string, budget uint64) (*Outcome, error) {
 	o.Output = out.String()
 	o.Globals = CanonGlobals(vm.Globals)
 	o.Snap = vm.StatsSnapshot()
+	o.Events = counts.Total
 	if theJIT != nil {
 		st := theJIT.StatsSnapshot()
 		o.JIT = &st

@@ -36,6 +36,26 @@ func diffOutcomes(base, got *Outcome) string {
 	return ""
 }
 
+// armedDiff describes the first way an armed leg's bookkeeping departs
+// from its unarmed twin's, or "" if arming the sink changed nothing but
+// the sink.
+func armedDiff(twin, got *Outcome) string {
+	netRC := func(o *Outcome) int64 { return int64(o.Snap.Heap.Increfs) - int64(o.Snap.Heap.Decrefs) }
+	switch {
+	case got.Events == 0:
+		return "armed leg's sink observed no events"
+	case twin.Snap.Bytecodes != got.Snap.Bytecodes:
+		return fmt.Sprintf("bytecodes: unarmed %d, armed %d", twin.Snap.Bytecodes, got.Snap.Bytecodes)
+	case netRC(twin) != netRC(got):
+		return fmt.Sprintf("net refcounts: unarmed %+d, armed %+d", netRC(twin), netRC(got))
+	case twin.Snap != got.Snap:
+		return fmt.Sprintf("runtime counters: unarmed %+v, armed %+v", twin.Snap, got.Snap)
+	case twin.JIT != nil && *twin.JIT != *got.JIT:
+		return fmt.Sprintf("jit counters: unarmed %+v, armed %+v", *twin.JIT, *got.JIT)
+	}
+	return ""
+}
+
 // firstLineDiff pinpoints the first differing line between two multi-line
 // strings.
 func firstLineDiff(what, a, b string) string {
@@ -95,6 +115,7 @@ func CheckProgram(legs []Leg, name, src string, budget uint64) (divs []Divergenc
 		invs = append(invs, "[cpython] baseline internal error: "+base.Err)
 	}
 	stats.add(base)
+	outcomes := map[string]*Outcome{legs[0].Name: base}
 	for _, leg := range legs[1:] {
 		got, xerr := Execute(leg, name, src, budget)
 		if xerr != nil {
@@ -112,11 +133,15 @@ func CheckProgram(legs []Leg, name, src string, budget uint64) (divs []Divergenc
 			continue
 		}
 		invs = append(invs, CheckInvariants(got)...)
+		outcomes[leg.Name] = got
 		var d string
 		if leg.Chaos != nil {
 			d = chaosDiff(base, got)
 		} else {
 			d = diffOutcomes(base, got)
+		}
+		if twin := outcomes[leg.ArmedTwin]; d == "" && twin != nil {
+			d = armedDiff(twin, got)
 		}
 		if d != "" {
 			divs = append(divs, Divergence{Leg: leg.Name, Desc: d, Program: src})

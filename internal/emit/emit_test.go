@@ -124,14 +124,60 @@ func TestCodeSpaceBlocks(t *testing.T) {
 	}
 }
 
-func TestEngineReset(t *testing.T) {
-	e := NewEngine(isa.NullSink{})
-	e.At(0x1000)
-	e.Call(core.CFunctionCall, 0x2000)
-	e.SetPhase(core.PhaseJITCode)
-	e.SetCLib(true)
-	e.Reset()
-	if e.Depth() != 0 || e.Phase() != core.PhaseInterpreter || e.Instrs != 0 {
-		t.Error("reset incomplete")
+// TestArmedFollowsSink: armed is a function of the sink alone — nil and
+// isa.NullSink are unarmed (nil used to dereference on the first event),
+// anything else is armed, and SetSink re-derives it.
+func TestArmedFollowsSink(t *testing.T) {
+	var rec recordSink
+	for _, tc := range []struct {
+		name  string
+		sink  isa.Sink
+		armed bool
+	}{
+		{"nil", nil, false},
+		{"null", isa.NullSink{}, false},
+		{"count", &isa.CountSink{}, true},
+		{"record", &rec, true},
+		{"tee", isa.TeeSink{A: &rec, B: isa.NullSink{}}, true},
+	} {
+		if e := NewEngine(tc.sink); e.Armed() != tc.armed {
+			t.Errorf("NewEngine(%s).Armed() = %v, want %v", tc.name, e.Armed(), tc.armed)
+		}
+		e := NewEngine(&rec)
+		if e.SetSink(tc.sink); e.Armed() != tc.armed {
+			t.Errorf("SetSink(%s): Armed() = %v, want %v", tc.name, e.Armed(), tc.armed)
+		}
+	}
+}
+
+// TestUnarmedDoesNoWork: on an unarmed engine every emitter — simple and
+// compound — leaves the PC offset, the call stack and the C stack where
+// they were, and arming it afterwards resumes a well-formed stream.
+func TestUnarmedDoesNoWork(t *testing.T) {
+	for _, sink := range []isa.Sink{nil, isa.NullSink{}} {
+		e := NewEngine(sink)
+		e.At(0x1000)
+		sp0 := e.CStack().SP()
+		e.ALU(core.Execute, false)
+		e.ALUn(core.Execute, 3)
+		e.Load(core.Stack, 0x9000, true)
+		e.Store(core.Stack, 0x9000)
+		e.Branch(core.Execute, true)
+		e.Jump(core.Dispatch)
+		e.Call(core.CFunctionCall, 0x2000)
+		e.Ret(core.CFunctionCall)
+		e.IndCall(core.CFunctionCall, 0x2000)
+		e.CCall(core.CFunctionCall, 0x3000, DefaultCCall)
+		e.CReturn(core.CFunctionCall, DefaultCCall)
+		e.IndJump(core.Dispatch, 0x5000)
+		if e.PC() != 0x1000 || e.Depth() != 0 || e.CStack().SP() != sp0 {
+			t.Errorf("unarmed engine moved: pc %#x depth %d sp %#x", e.PC(), e.Depth(), e.CStack().SP())
+		}
+		var rec recordSink
+		e.SetSink(&rec)
+		e.ALU(core.Execute, false)
+		if len(rec.evs) != 1 || rec.evs[0].PC != 0x1000 {
+			t.Errorf("after arming: %+v", rec.evs)
+		}
 	}
 }

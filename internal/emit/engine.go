@@ -10,6 +10,13 @@
 // runs receive consecutive PCs inside the block. Calls and returns move
 // between blocks, so the instruction cache and branch-target buffer see a
 // realistic footprint.
+//
+// All of that is paid only while somebody is looking. An engine is armed
+// when its sink observes events (anything but nil or isa.NullSink); an
+// unarmed engine builds no event, makes no sink call and keeps no call
+// stack, so a purely functional run pays one predictable branch per emit
+// site. Callers whose only work is to compute simulated addresses for a
+// burst of events test Armed once and skip the burst.
 package emit
 
 import (
@@ -25,6 +32,7 @@ const instrBytes = 4
 // simulated machine owns one engine.
 type Engine struct {
 	sink  isa.Sink
+	armed bool // sink observes events; a function of the sink alone
 	phase core.Phase
 	clib  bool
 
@@ -35,9 +43,6 @@ type Engine struct {
 	cstack *mem.CStack
 
 	ev isa.Event // scratch event, reused across emissions
-
-	// Instrs counts emitted events (cheap mirror of the sink's count).
-	Instrs uint64
 }
 
 type frame struct {
@@ -46,17 +51,28 @@ type frame struct {
 }
 
 // NewEngine returns an engine feeding sink, with the C stack starting at
-// mem.CStackTop.
+// mem.CStackTop. A nil sink or isa.NullSink leaves the engine unarmed.
 func NewEngine(sink isa.Sink) *Engine {
-	return &Engine{
-		sink:   sink,
+	e := &Engine{
 		cstack: mem.NewCStack(mem.CStackTop),
 		frames: make([]frame, 0, 64),
 	}
+	e.SetSink(sink)
+	return e
 }
 
-// SetSink redirects the event stream (used to swap cores between runs).
-func (e *Engine) SetSink(sink isa.Sink) { e.sink = sink }
+// SetSink redirects the event stream and re-derives Armed from the new
+// sink. Swap sinks only between top-level runs, where the simulated call
+// stack is empty: an unarmed engine does not track calls, so arming one
+// mid-call would return into frames it never saw pushed.
+func (e *Engine) SetSink(sink isa.Sink) {
+	_, null := sink.(isa.NullSink)
+	e.sink = sink
+	e.armed = sink != nil && !null
+}
+
+// Armed reports whether events reach an observing sink.
+func (e *Engine) Armed() bool { return e.armed }
 
 // Sink returns the current sink.
 func (e *Engine) Sink() isa.Sink { return e.sink }
@@ -97,7 +113,16 @@ func (e *Engine) CStack() *mem.CStack { return e.cstack }
 // Depth returns the simulated call depth.
 func (e *Engine) Depth() int { return len(e.frames) }
 
+// send is the one gate every event passes: small enough to inline into
+// the typed emitters below, so an unarmed emit site is a load and a
+// branch.
 func (e *Engine) send(kind isa.Kind, cat core.Category, addr, target uint64, size uint8, taken, dep bool) {
+	if e.armed {
+		e.exec(kind, cat, addr, target, size, taken, dep)
+	}
+}
+
+func (e *Engine) exec(kind isa.Kind, cat core.Category, addr, target uint64, size uint8, taken, dep bool) {
 	e.ev = isa.Event{
 		PC:      e.base + e.off*instrBytes,
 		Addr:    addr,
@@ -111,7 +136,6 @@ func (e *Engine) send(kind isa.Kind, cat core.Category, addr, target uint64, siz
 		CLib:    e.clib,
 	}
 	e.off++
-	e.Instrs++
 	e.sink.Exec(&e.ev)
 }
 
@@ -142,6 +166,9 @@ func (e *Engine) ALU(cat core.Category, dep bool) {
 
 // ALUn emits n chained ALU operations (each depending on the previous).
 func (e *Engine) ALUn(cat core.Category, n int) {
+	if !e.armed {
+		return
+	}
 	for i := 0; i < n; i++ {
 		e.send(isa.ALU, cat, 0, 0, 0, false, true)
 	}
@@ -156,7 +183,9 @@ func (e *Engine) FDiv(cat core.Category, dep bool) { e.send(isa.FDiv, cat, 0, 0,
 // Branch emits a conditional branch with the given outcome, dependent on
 // the previous event (compare feeding the branch).
 func (e *Engine) Branch(cat core.Category, taken bool) {
-	e.send(isa.CondBranch, cat, 0, e.base+e.off*instrBytes+64, 0, taken, true)
+	if e.armed {
+		e.exec(isa.CondBranch, cat, 0, e.base+e.off*instrBytes+64, 0, taken, true)
+	}
 }
 
 // Jump emits an unconditional direct jump within the current routine.
@@ -167,6 +196,9 @@ func (e *Engine) Jump(cat core.Category) {
 // IndJump emits an indirect jump to target and repositions the engine at
 // target (the interpreter's decode switch).
 func (e *Engine) IndJump(cat core.Category, target uint64) {
+	if !e.armed {
+		return
+	}
 	e.send(isa.IndJump, cat, 0, target, 0, false, true)
 	e.At(target)
 }
@@ -175,6 +207,9 @@ func (e *Engine) IndJump(cat core.Category, target uint64) {
 // pushed on the simulated C stack and the engine moves to target. Matched
 // by Ret.
 func (e *Engine) Call(cat core.Category, target uint64) {
+	if !e.armed {
+		return
+	}
 	sp := e.cstack.Push(8)
 	e.send(isa.Call, cat, sp, target, 8, false, false)
 	e.frames = append(e.frames, frame{e.base, e.off, e.clib})
@@ -185,6 +220,9 @@ func (e *Engine) Call(cat core.Category, target uint64) {
 // load is the caller's responsibility, typically via function-resolution
 // events). Matched by Ret.
 func (e *Engine) IndCall(cat core.Category, target uint64) {
+	if !e.armed {
+		return
+	}
 	sp := e.cstack.Push(8)
 	e.send(isa.IndCall, cat, sp, target, 8, false, true)
 	e.frames = append(e.frames, frame{e.base, e.off, e.clib})
@@ -193,6 +231,9 @@ func (e *Engine) IndCall(cat core.Category, target uint64) {
 
 // Ret emits a return to the calling routine.
 func (e *Engine) Ret(cat core.Category) {
+	if !e.armed {
+		return
+	}
 	sp := e.cstack.SP()
 	e.cstack.Pop(8)
 	n := len(e.frames) - 1
@@ -228,6 +269,9 @@ var DefaultCCall = CCallCost{SavedRegs: 3, FrameBytes: 48}
 // (typically core.CFunctionCall). The engine moves to the callee's code
 // block at target. Matched by CReturn with the same cost.
 func (e *Engine) CCall(cat core.Category, target uint64, cost CCallCost) {
+	if !e.armed {
+		return
+	}
 	// Argument marshaling into registers.
 	e.ALU(cat, false)
 	if cost.Indirect {
@@ -248,6 +292,9 @@ func (e *Engine) CCall(cat core.Category, target uint64, cost CCallCost) {
 // CReturn emits the matching C-call epilogue: register restores, frame
 // teardown, and the return.
 func (e *Engine) CReturn(cat core.Category, cost CCallCost) {
+	if !e.armed {
+		return
+	}
 	sp := e.cstack.SP()
 	for i := 0; i < cost.SavedRegs; i++ {
 		e.send(isa.Load, cat, sp+uint64(i*8), 0, 8, false, false)
@@ -257,16 +304,6 @@ func (e *Engine) CReturn(cat core.Category, cost CCallCost) {
 	e.send(isa.Load, cat, sp+uint64(cost.FrameBytes)-8, 0, 8, false, true)
 	e.cstack.Pop(uint64(cost.FrameBytes))
 	e.Ret(cat)
-}
-
-// Reset clears the call stack and PC state between runs.
-func (e *Engine) Reset() {
-	e.frames = e.frames[:0]
-	e.cstack.Reset()
-	e.base, e.off = 0, 0
-	e.phase = core.PhaseInterpreter
-	e.clib = false
-	e.Instrs = 0
 }
 
 // CodeSpace hands out code blocks from a region.

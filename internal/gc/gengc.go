@@ -143,6 +143,9 @@ func (h *Heap) copyToOld(o pyobj.Object) {
 // granularity, capped to bound event volume for huge payloads; the cache
 // effect of a large copy saturates well before the cap).
 func (h *Heap) copyBytes(src, dst, n uint64) {
+	if !h.eng.Armed() {
+		return
+	}
 	words := (n + 7) / 8
 	const maxWords = 4096
 	step := uint64(1)

@@ -247,10 +247,7 @@ func biPrint(vm *VM, _ pyobj.Object, args []pyobj.Object) pyobj.Object {
 	}
 	out := strings.Join(parts, " ")
 	// Model the write(2) path: stores into the I/O buffer.
-	n := (len(out) + 8) / 8
-	if n > 256 {
-		n = 256
-	}
+	n := vm.events((len(out)+8)/8, 256)
 	for i := 0; i < n; i++ {
 		vm.Eng.Store(core.Execute, mem_ioBuf+uint64(i*8))
 	}

@@ -138,9 +138,7 @@ type jsonParser struct {
 
 // step emits the per-character scan traffic of the C parser.
 func (p *jsonParser) step(n int) {
-	if n > 64 {
-		n = 64
-	}
+	n = p.vm.events(n, 64)
 	for k := 0; k < n; k++ {
 		p.vm.Eng.Load(core.Execute, p.dataAddr+uint64(p.i+k), false)
 	}

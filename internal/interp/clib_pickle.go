@@ -118,9 +118,7 @@ type pickleParser struct {
 }
 
 func (p *pickleParser) step(n int) {
-	if n > 64 {
-		n = 64
-	}
+	n = p.vm.events(n, 64)
 	for k := 0; k < n; k++ {
 		p.vm.Eng.Load(core.Execute, p.dataAddr+uint64(p.i+k), false)
 	}

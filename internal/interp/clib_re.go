@@ -433,7 +433,7 @@ func (m *matcher) step(pos int) {
 	if m.steps > reStepLimit {
 		Raise("RuntimeError", "regex backtracking limit exceeded")
 	}
-	if m.emitted < 1<<18 {
+	if m.vm.Eng.Armed() && m.emitted < 1<<18 {
 		m.emitted++
 		m.vm.Eng.Load(core.Execute, m.addr+uint64(pos), false)
 		m.vm.Eng.ALU(core.Execute, true)

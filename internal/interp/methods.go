@@ -27,10 +27,7 @@ func miListPop(vm *VM, self pyobj.Object, args []pyobj.Object) pyobj.Object {
 		idx = vm.normIndex(vm.wantInt("list.pop", args[0]), len(l.Items), "pop index out of range")
 	}
 	v := l.Items[idx]
-	moved := len(l.Items) - idx - 1
-	if moved > eventCap {
-		moved = eventCap
-	}
+	moved := vm.events(len(l.Items)-idx-1, eventCap)
 	for i := 0; i < moved; i++ {
 		vm.Eng.Load(core.Execute, l.ItemAddr(idx+i+1), false)
 		vm.Eng.Store(core.Execute, l.ItemAddr(idx+i))
@@ -73,10 +70,7 @@ func miListSort(vm *VM, self pyobj.Object, args []pyobj.Object) pyobj.Object {
 	}
 	vm.sortObjects(l.Items)
 	// Result stores.
-	n := len(l.Items)
-	if n > eventCap {
-		n = eventCap
-	}
+	n := vm.events(len(l.Items), eventCap)
 	for i := 0; i < n; i++ {
 		vm.Eng.Store(core.Execute, l.ItemAddr(i))
 	}
@@ -167,10 +161,7 @@ func miListInsert(vm *VM, self pyobj.Object, args []pyobj.Object) pyobj.Object {
 		idx = len(l.Items)
 	}
 	vm.ListAppend(l, args[0]) // grow by one (placeholder)
-	moved := len(l.Items) - idx - 1
-	if moved > eventCap {
-		moved = eventCap
-	}
+	moved := vm.events(len(l.Items)-idx-1, eventCap)
 	for i := 0; i < moved; i++ {
 		vm.Eng.Load(core.Execute, l.ItemAddr(len(l.Items)-2-i), false)
 		vm.Eng.Store(core.Execute, l.ItemAddr(len(l.Items)-1-i))

@@ -37,6 +37,19 @@ func (k BinKind) String() string { return binNames[k] }
 // a long streaming copy saturates well before the cap.
 const eventCap = 1024
 
+// events is the trip count of an event-only loop modeling n units of work:
+// zero on an unarmed engine, so the loop and its simulated-address
+// arithmetic vanish with the events; otherwise n bounded by limit.
+func (vm *VM) events(n, limit int) int {
+	if !vm.Eng.Armed() {
+		return 0
+	}
+	if n > limit {
+		return limit
+	}
+	return n
+}
+
 // BinaryOp evaluates a <op> b with CPython's cost structure: an inline
 // fast path for int add/sub (as ceval.c fast-cases), and a C call through
 // the number-protocol function pointers for everything else.
@@ -332,10 +345,7 @@ func (vm *VM) strBinOp(kind BinKind, a *pyobj.Str, b pyobj.Object) pyobj.Object 
 // emitStrScan emits the load traffic of scanning/copying n bytes of a
 // string (word granularity, capped).
 func (vm *VM) emitStrScan(s *pyobj.Str, n int) {
-	words := (n + 7) / 8
-	if words > eventCap {
-		words = eventCap
-	}
+	words := vm.events((n+7)/8, eventCap)
 	for i := 0; i < words; i++ {
 		vm.Eng.Load(core.Execute, s.DataAddr+uint64(i*8), false)
 	}
@@ -419,9 +429,7 @@ func (vm *VM) tupleBinOp(kind BinKind, a *pyobj.Tuple, b pyobj.Object) pyobj.Obj
 
 // emitSeqCopy emits capped pointer-copy traffic for sequence operations.
 func (vm *VM) emitSeqCopy(n int) {
-	if n > eventCap {
-		n = eventCap
-	}
+	n = vm.events(n, eventCap)
 	for i := 0; i < n; i++ {
 		vm.Eng.ALU(core.Execute, false)
 	}

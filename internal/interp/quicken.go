@@ -218,6 +218,9 @@ func (vm *VM) quickenCode(code *pycode.Code, cd *codeData) {
 // slot, the compare, and the (predictable) guard branch — against the
 // generic path's C helper call plus hash/probe traffic.
 func (vm *VM) icGuardEvents(f *pyobj.Frame, site int32) {
+	if !vm.Eng.Armed() {
+		return
+	}
 	a := f.ICAddr + uint64(site)*icSlotBytes
 	vm.Eng.Load(core.NameResolution, a, true)
 	vm.Eng.ALU(core.NameResolution, true)

@@ -65,10 +65,12 @@ func timeDispatch(t *testing.T, quicken bool) time.Duration {
 
 // TestQuickenedDispatchGuard is the performance regression gate: on the
 // attribute/global-heavy dispatch benchmark the tier-2 quickened
-// interpreter must beat the cold one by the factor the shared
-// benchgate table demands (2.0x — polymorphic stubs, superinstruction
-// fusion and the unboxed-int fast paths together). Best-of-N timing
-// with retries keeps scheduler noise from flaking the gate.
+// interpreter must beat the cold one in host wall-clock, emission
+// unarmed, by the factor the shared benchgate table demands (polymorphic
+// stubs, superinstruction fusion and the unboxed-int fast paths
+// together; EXPERIMENTS.md "Wall-clock tiers" has the data the factor is
+// set from). Best-of-N timing with retries keeps scheduler noise from
+// flaking the gate.
 func TestQuickenedDispatchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")

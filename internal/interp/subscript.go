@@ -305,10 +305,7 @@ func (vm *VM) DelItem(o, k pyobj.Object) {
 		idx := vm.normIndex(n, len(c.Items), "list index out of range")
 		old := c.Items[idx]
 		// Shift tail left: load+store per moved element (capped).
-		moved := len(c.Items) - idx - 1
-		if moved > eventCap {
-			moved = eventCap
-		}
+		moved := vm.events(len(c.Items)-idx-1, eventCap)
 		for i := 0; i < moved; i++ {
 			e.Load(core.Execute, c.ItemAddr(idx+i+1), false)
 			e.Store(core.Execute, c.ItemAddr(idx+i))
@@ -331,10 +328,7 @@ func (vm *VM) ListAppend(l *pyobj.List, v pyobj.Object) {
 		l.ItemsAddr = vm.Heap.AllocPayload(uint64(newCap)*8, core.Execute)
 		l.ItemsCap = newCap
 		// Copy the old element pointers (capped).
-		n := len(l.Items)
-		if n > eventCap {
-			n = eventCap
-		}
+		n := vm.events(len(l.Items), eventCap)
 		for i := 0; i < n; i++ {
 			e.Load(core.Execute, oldAddr+uint64(i)*8, false)
 			e.Store(core.Execute, l.ItemAddr(i))

@@ -449,10 +449,7 @@ func (vm *VM) NewStr(s string) *pyobj.Str {
 	}
 	// Length store plus data stores, word granularity (capped).
 	vm.Eng.Store(core.Execute, o.H.Addr+16)
-	words := (len(s) + 7) / 8
-	if words > 64 {
-		words = 64
-	}
+	words := vm.events((len(s)+7)/8, 64)
 	for i := 0; i < words; i++ {
 		vm.Eng.Store(core.Execute, o.DataAddr+uint64(i*8))
 	}
@@ -559,6 +556,9 @@ func (vm *VM) set(f *pyobj.Frame, depth int, v pyobj.Object) {
 // charged to cat (NameResolution for namespace lookups, Execute for
 // program dicts — the paper's origin-PC distinction).
 func (vm *VM) dictProbeEvents(d *pyobj.Dict, res pyobj.LookupResult, hashAddr uint64, cat core.Category) {
+	if !vm.Eng.Armed() {
+		return
+	}
 	if hashAddr != 0 {
 		// Interned keys carry a cached hash: single load.
 		vm.Eng.Load(cat, hashAddr, false)
@@ -638,10 +638,7 @@ func (vm *VM) DictSet(d *pyobj.Dict, key, value pyobj.Object, cat core.Category)
 	if res.Grew {
 		vm.placeDictTable(d, cat)
 		// Rehash traffic: one load+store per live entry (capped).
-		n := d.Len()
-		if n > 256 {
-			n = 256
-		}
+		n := vm.events(d.Len(), 256)
 		for i := 0; i < n; i++ {
 			vm.Eng.Load(cat, d.TableAddr+uint64(i)*24, false)
 			vm.Eng.Store(cat, d.TableAddr+uint64(i)*24)

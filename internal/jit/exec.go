@@ -171,8 +171,14 @@ func (x *executor) deopt(f *pyobj.Frame, t *Trace, snap *Snapshot) {
 
 	// Materialize dirty locals. A register that is still empty (first
 	// iteration, before its defining operation ran) means the frame's
-	// own value is still current.
-	for slot, rg := range snap.Locals {
+	// own value is still current. Slots are visited in ascending order,
+	// not map order: boxing allocates, so the order decides the simulated
+	// addresses and with them the event stream.
+	for slot := range f.Locals {
+		rg, dirty := snap.Locals[slot]
+		if !dirty {
+			continue
+		}
 		rv := x.regs[rg]
 		if rv.kind == kObj && rv.obj == nil {
 			continue

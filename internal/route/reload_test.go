@@ -581,6 +581,15 @@ func TestHalfOpenReadmitRace(t *testing.T) {
 	}()
 	wg.Wait()
 
+	// The racing loops can end on the very readmission that exhausts the
+	// budget, with no probe left to meet the breaker (seen ~1 run in
+	// 200). Settle it: budget+1 more eject/probe rounds always exhaust
+	// the budget and then hit the breaker at least once.
+	for i := 0; i <= rt.cfg.ReadmitBudget; i++ {
+		b.recordFailure(1, time.Now().Add(-time.Second))
+		rt.probe(b)
+	}
+
 	b.mu.Lock()
 	readmits := len(b.readmits)
 	b.mu.Unlock()
