@@ -61,9 +61,9 @@ func run() int {
 		maxOutput = flag.Uint64("max-output", 8<<20, "default output cap per job in bytes (0: unlimited)")
 		recycle   = flag.Int("recycle", 256, "retire a worker after this many jobs")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long /drainz waits for in-flight jobs")
-		dedupTTL  = flag.Duration("dedup-ttl", 5*time.Minute, "how long an idempotency key's recorded result answers replays")
+		dedupTTL  = flag.Duration("dedup-ttl", 5*time.Minute, "how long an idempotency key's recorded result answers replays after its last use")
 		dedupCap  = flag.Int("dedup-cap", 4096, "max idempotency keys held in the dedup cache")
-		progTTL   = flag.Duration("prog-ttl", 30*time.Minute, "how long a registered program stays resolvable by reference")
+		progTTL   = flag.Duration("prog-ttl", 30*time.Minute, "how long a registered program stays resolvable by reference after its last use")
 		progCap   = flag.Int("prog-cap", 1024, "max programs held in the content-addressed store")
 		sched     = flag.Bool("sched", false, "step-sliced scheduler backend: jobs interleave at quantum granularity instead of holding a worker exclusively")
 		lanes     = flag.Int("lanes", 2, "strict-priority lanes (with -sched; lane 0 served first)")

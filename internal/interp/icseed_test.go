@@ -16,6 +16,7 @@ import (
 	"repro/internal/gc"
 	"repro/internal/interp"
 	"repro/internal/isa"
+	"repro/internal/pycompile"
 )
 
 // seedTestSrc exercises every portable seed kind: global-builtin loads
@@ -44,7 +45,7 @@ func newSeedVM(out *strings.Builder) *interp.VM {
 }
 
 func TestICSeedExportAndWarmFill(t *testing.T) {
-	code, err := interp.Compile("seed.py", seedTestSrc)
+	code, err := pycompile.CompileSource("seed.py", seedTestSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestICSeedExportAndWarmFill(t *testing.T) {
 // before the fill. Behaviour must be bit-identical to a cold run —
 // corruption costs refills, never semantics.
 func TestICSeedCorruptAdvisory(t *testing.T) {
-	code, err := interp.Compile("seedcorrupt.py", seedTestSrc)
+	code, err := pycompile.CompileSource("seedcorrupt.py", seedTestSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestICSeedCorruptAdvisory(t *testing.T) {
 // be dropped, not applied, and behaviour must not change.
 func TestICSeedForeignDropped(t *testing.T) {
 	foreign := "x = 1\ny = 2\nprint(x + y)\n"
-	fcode, err := interp.Compile("foreign.py", foreign)
+	fcode, err := pycompile.CompileSource("foreign.py", foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestICSeedForeignDropped(t *testing.T) {
 	}
 	seed := fvm.ExportICSeed(fcode)
 
-	code, err := interp.Compile("seed.py", seedTestSrc)
+	code, err := pycompile.CompileSource("seed.py", seedTestSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/gc"
 	"repro/internal/interp"
 	"repro/internal/isa"
+	"repro/internal/pycompile"
 )
 
 type tierOutcome struct {
@@ -66,7 +67,7 @@ func runTier(t *testing.T, name, src string, tier int) tierOutcome {
 // Nil when the run quickened nothing.
 func exportSeed(t *testing.T, name, src string) *interp.ICSeed {
 	t.Helper()
-	code, err := interp.Compile(name, src)
+	code, err := pycompile.CompileSource(name, src)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

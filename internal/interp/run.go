@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/pycode"
+	"repro/internal/pycompile"
 	"repro/internal/pyobj"
 )
 
@@ -16,7 +17,7 @@ const maxRecursion = 4000
 // RunSource compiles and runs a MiniPy program, returning any Python-level
 // error.
 func (vm *VM) RunSource(file, src string) error {
-	code, err := compileCached(file, src)
+	code, err := pycompile.CompileSource(file, src)
 	if err != nil {
 		return err
 	}

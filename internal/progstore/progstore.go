@@ -1,16 +1,17 @@
-// Package progstore is the content-addressed program store: a bounded,
-// TTL'd cache of immutable compiled code objects plus their portable IC
-// seeds, keyed by the hex SHA-256 of the program source.
+// Package progstore is the content-addressed program store: an sfcache
+// of immutable compiled code objects plus their portable IC seeds, keyed
+// by the hex SHA-256 of the program source.
 //
 // The store answers the fleet-scale version of the paper's cold-start
 // problem: compilation and cold dispatch are paid per VM, and across a
 // fleet serving the same few hot programs that work is redone on every
 // worker and every request re-ships identical source bytes. Here a
 // program compiles once per process (single-flight: concurrent
-// same-hash arrivals wait behind one compiler, mirroring the serve
-// tier's idempotency dedup cache), every subsequent run references it
-// by hash, and the first completed run donates a portable IC seed
-// (internal/interp/icseed.go) so later workers start tier-1-warm.
+// same-hash arrivals wait behind one compiler, under the same cache
+// policy as the serve tier's idempotency dedup), every subsequent run
+// references it by hash, and the first completed run donates a portable
+// IC seed (internal/interp/icseed.go) so later workers start
+// tier-1-warm.
 //
 // The ref is not just a cache key — it is the same content identity the
 // routing tier's consistent-hash ring uses (route.ContentHash is the
@@ -31,22 +32,24 @@
 package progstore
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
 	"repro/internal/pycode"
 	"repro/internal/pycompile"
+	"repro/internal/sfcache"
 	"repro/internal/telemetry"
 )
 
 // Defaults. Programs are far heavier than dedup entries (a compiled
 // code tree plus seed), so the default capacity is smaller; the TTL is
-// longer because a program's identity never goes stale — expiry exists
-// only to bound memory for one-shot programs.
+// longer because a program's identity never goes stale. The TTL counts
+// from a program's last use, so expiry only reclaims programs nobody
+// runs any more.
 const (
 	DefaultTTL = 30 * time.Minute
 	DefaultCap = 1024
@@ -87,22 +90,25 @@ type Program struct {
 	Seed *interp.ICSeed
 }
 
-// entry is one ref's lifecycle: pending while its compiler runs, then
-// resolved (code set) and listed for eviction. done is closed exactly
-// once, at resolution; failed compiles delete the entry instead of
-// recording it, so a bad program never occupies capacity and a later
-// identical registration retries cleanly.
-type entry struct {
-	ref     string
-	src     string
-	done    chan struct{}
-	code    *pycode.Code // nil until resolved
-	seed    *interp.ICSeed
-	created time.Time
-	seedAt  time.Time
-	expires time.Time // zero while pending
-	hits    uint64
-	elem    *list.Element
+// record is one stored program plus the metadata Info reports. Failed
+// compiles are never stored, so a bad program never occupies capacity
+// and a later identical registration retries cleanly.
+type record struct {
+	Program
+	created, seedAt time.Time
+	// hits is shared by every copy of the record, so the per-program
+	// count survives OfferSeed replacing the stored value.
+	hits *atomic.Uint64
+}
+
+// use counts a hit on r when hit is set and returns the caller's copy
+// of its program.
+func (r record) use(hit bool) *Program {
+	if hit {
+		r.hits.Add(1)
+	}
+	p := r.Program
+	return &p
 }
 
 // Options parameterizes a Store. Zero values take defaults; Compile and
@@ -116,23 +122,10 @@ type Options struct {
 
 // Store is the bounded single-flight program store.
 type Store struct {
-	ttl     time.Duration
-	cap     int
+	cache   *sfcache.Cache[string, record]
 	compile func(name, src string) (*pycode.Code, error)
 	now     func() time.Time
-
-	mu      sync.Mutex
-	entries map[string]*entry
-	// order lists resolved entries oldest-first (uniform TTL makes
-	// insertion order expiry order); pending entries are not listed and
-	// are never evicted.
-	order *list.List
-
-	// Lifetime counters, mirrored into a registry via Instrument
-	// (nil-safe when unwired).
-	hits, misses, seeds, evictions, expirations, waits uint64
-
-	cHits, cMisses, cSeeds, cEvictions, cWaits *telemetry.Counter
+	seeds   atomic.Uint64
 }
 
 // New builds a store.
@@ -150,12 +143,9 @@ func New(opts Options) *Store {
 		opts.Now = time.Now
 	}
 	return &Store{
-		ttl:     opts.TTL,
-		cap:     opts.Cap,
+		cache:   sfcache.New[string, record](opts.TTL, opts.Cap, opts.Now),
 		compile: opts.Compile,
 		now:     opts.Now,
-		entries: make(map[string]*entry),
-		order:   list.New(),
 	}
 }
 
@@ -165,16 +155,24 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	s.cHits = reg.Counter("minipy_progstore_hits_total",
-		"Program-store lookups answered from a resolved entry.")
-	s.cMisses = reg.Counter("minipy_progstore_misses_total",
-		"Program-store lookups that found no resolved entry (fresh compiles included).")
-	s.cSeeds = reg.Counter("minipy_progstore_seeds_total",
-		"Portable IC seeds accepted into the store.")
-	s.cEvictions = reg.Counter("minipy_progstore_evictions_total",
-		"Entries evicted for capacity (TTL expirations excluded).")
-	s.cWaits = reg.Counter("minipy_progstore_compile_singleflight_waits_total",
-		"Registrations that waited behind another caller's in-flight compile.")
+	counter := func(name, help string, field func(Stats) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return field(s.StatsSnapshot()) })
+	}
+	counter("minipy_progstore_hits_total",
+		"Program-store lookups answered from a resolved entry.",
+		func(st Stats) uint64 { return st.Hits })
+	counter("minipy_progstore_misses_total",
+		"Program-store lookups that found no resolved entry (fresh compiles included).",
+		func(st Stats) uint64 { return st.Misses })
+	counter("minipy_progstore_seeds_total",
+		"Portable IC seeds accepted into the store.",
+		func(st Stats) uint64 { return st.Seeds })
+	counter("minipy_progstore_evictions_total",
+		"Entries evicted for capacity (TTL expirations excluded).",
+		func(st Stats) uint64 { return st.Evictions })
+	counter("minipy_progstore_compile_singleflight_waits_total",
+		"Registrations that waited behind another caller's in-flight compile.",
+		func(st Stats) uint64 { return st.Waits })
 }
 
 // Register resolves src to its stored program, compiling at most once
@@ -182,98 +180,30 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 // compiles, the rest wait on it. name labels the program in compile
 // errors only. hit reports whether the program was already resolved
 // (callers that waited on another caller's compile report hit too — the
-// compile was not theirs). A failed compile is returned to every waiter
-// and cached by none.
+// compile was not theirs). A failed compile is returned to its caller
+// and cached by none; waiters behind it compile again.
 func (s *Store) Register(name, src string) (p *Program, hit bool, err error) {
 	ref := Ref(src)
-	for {
-		s.mu.Lock()
-		now := s.now()
-		s.sweepLocked(now)
-		if e, ok := s.entries[ref]; ok {
-			if e.code != nil {
-				e.hits++
-				s.hits++
-				s.cHits.Inc()
-				p := programOf(e)
-				s.mu.Unlock()
-				return p, true, nil
-			}
-			s.waits++
-			s.cWaits.Inc()
-			s.mu.Unlock()
-			<-e.done
-			// The compile resolved (or failed and was deleted);
-			// re-consult. A failed compile makes this caller the next
-			// compiler.
-			continue
-		}
-		store := true
-		if len(s.entries) >= s.cap && !s.evictOneLocked() {
-			// Every entry is pending: compile without storing.
-			// Correctness degrades to per-request compilation for this
-			// ref only, never to a wrong answer.
-			store = false
-		}
-		e := &entry{ref: ref, src: src, done: make(chan struct{}), created: now}
-		if store {
-			s.entries[ref] = e
-		}
-		s.misses++
-		s.cMisses.Inc()
-		s.mu.Unlock()
-
+	r, hit, err := s.cache.Do(context.Background(), ref, func() (record, bool, error) {
 		code, err := s.compile(name, src)
-
-		s.mu.Lock()
-		if err != nil {
-			if store {
-				delete(s.entries, ref)
-			}
-			s.mu.Unlock()
-			close(e.done)
-			return nil, false, err
-		}
-		e.code = code
-		if store {
-			e.expires = s.now().Add(s.ttl)
-			e.elem = s.order.PushBack(e)
-		}
-		p := programOf(e)
-		s.mu.Unlock()
-		close(e.done)
-		return p, false, nil
+		rec := record{Program: Program{Ref: ref, Src: src, Code: code}, created: s.now(), hits: new(atomic.Uint64)}
+		return rec, err == nil, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	return r.use(hit), hit, nil
 }
 
 // Lookup resolves a ref. Pending entries block until their compile
 // resolves (compiles are pure CPU and fast). Reports false for unknown,
 // expired, or failed refs.
 func (s *Store) Lookup(ref string) (*Program, bool) {
-	for {
-		s.mu.Lock()
-		s.sweepLocked(s.now())
-		e, ok := s.entries[ref]
-		if !ok {
-			s.misses++
-			s.cMisses.Inc()
-			s.mu.Unlock()
-			return nil, false
-		}
-		if e.code == nil {
-			s.waits++
-			s.cWaits.Inc()
-			s.mu.Unlock()
-			<-e.done
-			continue
-		}
-		e.hits++
-		s.hits++
-		s.cHits.Inc()
-		p := programOf(e)
-		s.mu.Unlock()
-		return p, true
+	r, ok := s.cache.Get(ref)
+	if !ok {
+		return nil, false
 	}
+	return r.use(true), true
 }
 
 // OfferSeed donates a portable IC seed for ref. The first seed wins —
@@ -284,16 +214,14 @@ func (s *Store) OfferSeed(ref string, seed *interp.ICSeed) {
 	if seed == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[ref]
-	if !ok || e.code == nil || e.seed != nil {
-		return
-	}
-	e.seed = seed
-	e.seedAt = s.now()
-	s.seeds++
-	s.cSeeds.Inc()
+	s.cache.Update(ref, func(r record) (record, bool) {
+		if r.Seed != nil {
+			return r, false
+		}
+		r.Seed, r.seedAt = seed, s.now()
+		s.seeds.Add(1)
+		return r, true
+	})
 }
 
 // Info is the metadata view of one stored program (GET /v1/programs/{ref}).
@@ -310,110 +238,43 @@ type Info struct {
 	ICSeedSites int   `json:"icSeedSites,omitempty"`
 }
 
-// InfoFor returns the metadata of a stored ref.
+// InfoFor returns the metadata of a stored ref. Reading it is not a use:
+// it neither counts a hit nor refreshes the TTL.
 func (s *Store) InfoFor(ref string) (Info, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(s.now())
-	e, ok := s.entries[ref]
-	if !ok {
-		return Info{}, false
-	}
-	now := s.now()
-	info := Info{
-		Ref:      e.ref,
-		SrcBytes: len(e.src),
-		Compiled: e.code != nil,
-		Hits:     e.hits,
-		AgeMs:    now.Sub(e.created).Milliseconds(),
-		ICSeed:   e.seed != nil,
-	}
-	if e.seed != nil {
-		info.ICSeedAgeMs = now.Sub(e.seedAt).Milliseconds()
-		info.ICSeedSites = e.seed.Sites()
-	}
-	return info, true
+	var info Info
+	ok := s.cache.Update(ref, func(r record) (record, bool) {
+		now := s.now()
+		info = Info{
+			Ref:      r.Ref,
+			SrcBytes: len(r.Src),
+			Compiled: true,
+			Hits:     r.hits.Load(),
+			AgeMs:    now.Sub(r.created).Milliseconds(),
+			ICSeed:   r.Seed != nil,
+		}
+		if r.Seed != nil {
+			info.ICSeedAgeMs = now.Sub(r.seedAt).Milliseconds()
+			info.ICSeedSites = r.Seed.Sites()
+		}
+		return r, false
+	})
+	return info, ok
 }
 
 // Delete invalidates a stored ref (DELETE /v1/programs/{ref}); reports
 // whether it was present. Pending entries are left to resolve — their
 // compiler holds no stale state worth interrupting — and only resolved
 // entries are removed.
-func (s *Store) Delete(ref string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[ref]
-	if !ok || e.code == nil {
-		return false
-	}
-	if e.elem != nil {
-		s.order.Remove(e.elem)
-	}
-	delete(s.entries, ref)
-	return true
-}
+func (s *Store) Delete(ref string) bool { return s.cache.Delete(ref) }
 
-// sweepLocked drops entries whose TTL elapsed, oldest first.
-func (s *Store) sweepLocked(now time.Time) {
-	for {
-		front := s.order.Front()
-		if front == nil {
-			return
-		}
-		e := front.Value.(*entry)
-		if e.expires.After(now) {
-			return
-		}
-		s.order.Remove(front)
-		delete(s.entries, e.ref)
-		s.expirations++
-	}
-}
-
-// evictOneLocked drops the oldest resolved entry to make room; false
-// means every entry is pending (nothing evictable).
-func (s *Store) evictOneLocked() bool {
-	front := s.order.Front()
-	if front == nil {
-		return false
-	}
-	e := front.Value.(*entry)
-	s.order.Remove(front)
-	delete(s.entries, e.ref)
-	s.evictions++
-	s.cEvictions.Inc()
-	return true
-}
-
-func programOf(e *entry) *Program {
-	return &Program{Ref: e.ref, Src: e.src, Code: e.code, Seed: e.seed}
-}
-
-// Stats is a point-in-time view of the store.
+// Stats is a point-in-time view of the store: the cache's lifetime
+// counters plus the seeds accepted. Misses include every fresh compile;
+// Waits counts callers that waited behind another caller's in-flight
+// compile (the single-flight path).
 type Stats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Seeds       uint64 `json:"seeds"`
-	Evictions   uint64 `json:"evictions"`
-	Expirations uint64 `json:"expirations"`
-	// Waits counts callers that waited behind another caller's
-	// in-flight compile (the single-flight path).
-	Waits uint64 `json:"waits"`
-	// Entries is the current population (pending included).
-	Entries int `json:"entries"`
+	sfcache.Stats
+	Seeds uint64
 }
 
 // StatsSnapshot returns the store's lifetime counters.
-func (s *Store) StatsSnapshot() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Hits:        s.hits,
-		Misses:      s.misses,
-		Seeds:       s.seeds,
-		Evictions:   s.evictions,
-		Expirations: s.expirations,
-		Waits:       s.waits,
-		Entries:     len(s.entries),
-	}
-}
+func (s *Store) StatsSnapshot() Stats { return Stats{Stats: s.cache.Stats(), Seeds: s.seeds.Load()} }

@@ -202,3 +202,21 @@ func TestTTLExpiryAndCapacityEviction(t *testing.T) {
 		t.Fatal("no expirations recorded after the TTL elapsed")
 	}
 }
+
+// TestHotRefNeverExpires: the TTL counts from a program's last use, so a
+// ref looked up every minute stays resolvable long past DefaultTTL from
+// its registration.
+func TestHotRefNeverExpires(t *testing.T) {
+	clock := time.Unix(1_700_000_000, 0)
+	s := New(Options{Now: func() time.Time { return clock }})
+	p, _, err := s.Register("hot.py", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for min := 1; min <= 40; min++ {
+		clock = clock.Add(time.Minute)
+		if _, ok := s.Lookup(p.Ref); !ok {
+			t.Fatalf("ref looked up every minute expired %d min after registration", min)
+		}
+	}
+}

@@ -43,6 +43,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/progstore"
+	"repro/internal/pycompile"
 )
 
 // warmStartProgram builds the wide-record handler module: one class
@@ -138,7 +139,7 @@ func TestWarmStartBench(t *testing.T) {
 		var sb strings.Builder
 		vm := interp.New(emit.NewEngine(isa.NullSink{}), gc.DefaultRefCountConfig(), &sb)
 		start := time.Now()
-		code, cerr := interp.Compile("warm.py", src)
+		code, cerr := pycompile.CompileSource("warm.py", src)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/progstore"
@@ -39,35 +40,30 @@ type progRecord struct {
 	src  string
 }
 
-// maxProgMemory bounds the ref → source memory; at capacity the whole
-// map is flushed (registrations are idempotent and clients can always
-// re-register, so losing the memory only costs a future 404).
-const maxProgMemory = 4096
+// The memory is an sfcache (LRU, TTL from last use). Registrations are
+// idempotent and clients can always re-register, so losing a memory
+// only costs a future 404.
+const (
+	// progMemoryCap bounds the ref → source memory.
+	progMemoryCap = 4096
+	// progMemoryTTL reclaims registrations that were neither re-posted
+	// nor needed for a repair for this long. It outlives the backends'
+	// default store TTL, so a repair can follow a backend's expiry.
+	progMemoryTTL = 24 * time.Hour
+)
 
 // rememberProgram records a registration for read-through repair.
 func (rt *Router) rememberProgram(ref, name, src string) {
-	rt.progMu.Lock()
-	if len(rt.progSrc) >= maxProgMemory {
-		rt.progSrc = make(map[string]progRecord)
-	}
-	rt.progSrc[ref] = progRecord{name: name, src: src}
-	rt.progMu.Unlock()
+	rt.progs.Do(context.Background(), ref, func() (progRecord, bool, error) {
+		return progRecord{name: name, src: src}, true, nil
+	})
 }
 
 // recallProgram looks up a remembered registration.
-func (rt *Router) recallProgram(ref string) (progRecord, bool) {
-	rt.progMu.Lock()
-	rec, ok := rt.progSrc[ref]
-	rt.progMu.Unlock()
-	return rec, ok
-}
+func (rt *Router) recallProgram(ref string) (progRecord, bool) { return rt.progs.Get(ref) }
 
 // forgetProgram drops a ref from the memory (fleet-wide DELETE).
-func (rt *Router) forgetProgram(ref string) {
-	rt.progMu.Lock()
-	delete(rt.progSrc, ref)
-	rt.progMu.Unlock()
-}
+func (rt *Router) forgetProgram(ref string) { rt.progs.Delete(ref) }
 
 // registerOn posts one registration to one backend, returning the
 // backend's response body and status. Control-plane path: no retry

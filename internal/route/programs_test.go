@@ -238,6 +238,21 @@ func TestProgramReadThroughRepair(t *testing.T) {
 	}
 }
 
+// TestProgramMemoryEvictsOneAtCapacity: a registration past the memory's
+// capacity evicts the least recently used ref instead of forgetting every
+// ref at once, so read-through repair keeps working for the others.
+func TestProgramMemoryEvictsOneAtCapacity(t *testing.T) {
+	rt, _ := newRouter(t, Config{Backends: []string{"http://127.0.0.1:1"}, ProbeInterval: quietProbes})
+	const n = 4097
+	src := func(i int) string { return fmt.Sprintf("print(%d)\n", i) }
+	for i := 1; i <= n; i++ {
+		rt.rememberProgram(progstore.Ref(src(i)), "program.py", src(i))
+	}
+	if rec, ok := rt.recallProgram(progstore.Ref(src(n - 1))); !ok || rec.src != src(n-1) {
+		t.Fatalf("ref %d of %d forgotten (ok=%v): the memory flushed instead of evicting one", n-1, n, ok)
+	}
+}
+
 // TestProgramRegistrationRejection: a deterministic 4xx from the owner
 // (bad source) passes through the router unchanged.
 func TestProgramRegistrationRejection(t *testing.T) {

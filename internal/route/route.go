@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sfcache"
 )
 
 // Config parameterizes a Router. Zero values take the documented
@@ -212,12 +214,11 @@ type Router struct {
 
 	nextID atomic.Uint64 // generated request ids ("pr<N>")
 
-	// progMu guards progSrc: the router's memory of program sources
-	// registered through it (ref → source), used to re-register
-	// read-through when a backend answers a run-by-reference request
-	// with unknown_program (fresh replica, expired entry, invalidation).
-	progMu  sync.Mutex
-	progSrc map[string]progRecord
+	// progs is the router's memory of program sources registered through
+	// it (ref → source), used to re-register read-through when a backend
+	// answers a run-by-reference request with unknown_program (fresh
+	// replica, expired entry, invalidation).
+	progs *sfcache.Cache[string, progRecord]
 
 	metrics *Metrics
 	logw    io.Writer
@@ -251,7 +252,7 @@ func New(cfg Config) (*Router, error) {
 			},
 		},
 		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
-		progSrc:     make(map[string]progRecord),
+		progs:       sfcache.New[string, progRecord](progMemoryTTL, progMemoryCap, nil),
 		rng:         cfg.Seed,
 		metrics:     cfg.Metrics,
 		logw:        cfg.Logw,

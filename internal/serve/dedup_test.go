@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/interp"
+	"repro/internal/sfcache"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
@@ -249,84 +252,196 @@ func TestDedupConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
-// TestDedupCacheTTL: recorded results expire; the next consult after
-// expiry executes afresh.
+// stubBackend is a Backend whose Submit the test scripts, so a test can
+// shed, hold or count executions at will.
+type stubBackend func(*supervise.Job) *supervise.JobResult
+
+func (b stubBackend) Submit(j *supervise.Job) *supervise.JobResult { return b(j) }
+func (stubBackend) Stats() supervise.Stats                         { return supervise.Stats{Workers: 1} }
+func (stubBackend) Drain(time.Duration) bool                       { return true }
+
+// stubServer serves a Server over submit; each executed job's stdout is
+// its execution number.
+func stubServer(t *testing.T, opts Options, submit func(*supervise.Job) *supervise.JobResult) (*httptest.Server, *Server) {
+	t.Helper()
+	opts.LogW = io.Discard
+	srv := NewWithOptions(stubBackend(submit), telemetry.NewRegistry(), opts)
+	ts := httptest.NewServer(srv.Mux())
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
+
+// countingOK returns a submit func that answers ClassOK with the
+// execution number as stdout.
+func countingOK(runs *atomic.Int64) func(*supervise.Job) *supervise.JobResult {
+	return func(*supervise.Job) *supervise.JobResult {
+		return &supervise.JobResult{Class: supervise.ClassOK, Output: fmt.Sprint(runs.Add(1))}
+	}
+}
+
+// holding returns a submit func that blocks jobs whose source is hold
+// until release closes, signalling entered as each one starts; other
+// jobs count through runs.
+func holding(hold string, entered chan<- struct{}, release <-chan struct{}, runs *atomic.Int64) func(*supervise.Job) *supervise.JobResult {
+	ok := countingOK(runs)
+	return func(j *supervise.Job) *supervise.JobResult {
+		if j.Src == hold {
+			entered <- struct{}{}
+			<-release
+			return &supervise.JobResult{Class: supervise.ClassOK, Output: "held"}
+		}
+		return ok(j)
+	}
+}
+
+// TestDedupCacheTTL: a recorded result replays within the TTL, the
+// window runs from the last replay, and once it lapses the key executes
+// afresh.
 func TestDedupCacheTTL(t *testing.T) {
-	c := newDedupCache(time.Minute, 8)
-	t0 := time.Unix(1000, 0)
+	var runs atomic.Int64
+	ts, srv := stubServer(t, Options{}, countingOK(&runs))
+	var clock atomic.Int64
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	srv.dedup = sfcache.New[string, api.RunResultV1](time.Minute, 8,
+		func() time.Time { return time.Unix(0, clock.Load()) })
+	req := runRequest{Src: "print(1)\n", IdempotencyKey: "k"}
 
-	v, e, _ := c.consult("k", t0)
-	if v != dedupExecute {
-		t.Fatalf("first consult = %d, want execute", v)
+	if _, raw := postV1(t, ts, req, nil); decodeResult(t, raw).Deduped {
+		t.Fatal("first run deduped")
 	}
-	c.resolve(e, &api.RunResultV1{Stdout: "x", Executions: 1}, true, t0)
-
-	if v, _, rec := c.consult("k", t0.Add(30*time.Second)); v != dedupHit || rec.Stdout != "x" {
-		t.Fatalf("within TTL: verdict %d", v)
+	// Two replays 50 s apart: the second is 100 s after the execution but
+	// only 50 s after the last use, so it still replays.
+	for i := 0; i < 2; i++ {
+		clock.Add(int64(50 * time.Second))
+		if _, raw := postV1(t, ts, req, nil); !decodeResult(t, raw).Deduped {
+			t.Fatalf("replay %d within the TTL of the last use executed", i+1)
+		}
 	}
-	if v, _, _ := c.consult("k", t0.Add(2*time.Minute)); v != dedupExecute {
-		t.Fatalf("after TTL: verdict %d, want execute", v)
+	clock.Add(int64(2 * time.Minute))
+	_, raw := postV1(t, ts, req, nil)
+	if out := decodeResult(t, raw); out.Deduped || out.Stdout != "2" {
+		t.Fatalf("after the TTL: deduped=%v stdout=%q, want a fresh execution", out.Deduped, out.Stdout)
 	}
-	if st := c.stats(); st.Expirations != 1 {
-		t.Fatalf("Expirations = %d, want 1", st.Expirations)
+	if st := srv.DedupStats(); st.Expirations != 1 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want Expirations=1 Hits=2", st)
 	}
 }
 
-// TestDedupShedNotRecorded: resolving uncacheably (shed — the body
-// never ran) releases the key so the retry executes.
+// TestDedupShedNotRecorded: a shed (the body never ran) releases the key
+// so the retry executes, and only that execution is recorded.
 func TestDedupShedNotRecorded(t *testing.T) {
-	c := newDedupCache(time.Minute, 8)
-	t0 := time.Unix(1000, 0)
-	_, e, _ := c.consult("k", t0)
-	c.resolve(e, nil, false, t0)
-	if v, _, _ := c.consult("k", t0); v != dedupExecute {
-		t.Fatalf("consult after shed = %d, want execute", v)
+	var runs atomic.Int64
+	ok := countingOK(&runs)
+	var shed atomic.Bool
+	shed.Store(true)
+	ts, srv := stubServer(t, Options{}, func(j *supervise.Job) *supervise.JobResult {
+		if shed.Swap(false) {
+			return &supervise.JobResult{Class: supervise.ClassShed, RetryAfter: time.Second}
+		}
+		return ok(j)
+	})
+	req := runRequest{Src: "print(1)\n", IdempotencyKey: "k"}
+
+	if resp, _ := postV1(t, ts, req, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("first attempt: status %d, want 503", resp.StatusCode)
 	}
-	if st := c.stats(); st.Recorded != 0 {
-		t.Fatalf("Recorded = %d, want 0", st.Recorded)
+	if st := srv.DedupStats(); st.Recorded != 0 {
+		t.Fatalf("Recorded = %d after a shed, want 0", st.Recorded)
+	}
+	_, raw := postV1(t, ts, req, nil)
+	if out := decodeResult(t, raw); out.Deduped || out.Stdout != "1" || out.Executions != 1 {
+		t.Fatalf("retry after shed: deduped=%v stdout=%q executions=%d, want the first execution",
+			out.Deduped, out.Stdout, out.Executions)
+	}
+	_, raw = postV1(t, ts, req, nil)
+	if out := decodeResult(t, raw); !out.Deduped || out.Stdout != "1" {
+		t.Fatalf("replay: deduped=%v stdout=%q, want the recorded execution", out.Deduped, out.Stdout)
+	}
+	if st := srv.DedupStats(); st.Recorded != 1 || st.MaxExecutions != 1 {
+		t.Fatalf("stats = %+v, want Recorded=1 MaxExecutions=1", st)
 	}
 }
 
-// TestDedupCapacityEviction: at capacity the oldest resolved entry is
-// evicted; when every entry is pending the consult degrades to bypass
-// (at-least-once for that key) rather than evicting an in-flight entry.
+// TestDedupCapacityEviction: at capacity the least recently used
+// recorded key is evicted; when every entry is pending a new key
+// executes unrecorded (at-least-once for that key) rather than evicting
+// an in-flight one.
 func TestDedupCapacityEviction(t *testing.T) {
-	c := newDedupCache(time.Minute, 2)
-	t0 := time.Unix(1000, 0)
-
-	_, e1, _ := c.consult("a", t0)
-	c.resolve(e1, &api.RunResultV1{Stdout: "a"}, true, t0)
-	_, e2, _ := c.consult("b", t0.Add(time.Second))
-	c.resolve(e2, &api.RunResultV1{Stdout: "b"}, true, t0.Add(time.Second))
-
-	// Third key evicts "a" (oldest resolved).
-	if v, _, _ := c.consult("c", t0.Add(2*time.Second)); v != dedupExecute {
-		t.Fatal("consult c: want execute")
+	var runs atomic.Int64
+	ts, srv := stubServer(t, Options{DedupCap: 2}, countingOK(&runs))
+	run := func(key string) runResponse {
+		_, raw := postV1(t, ts, runRequest{Src: "print(1)\n", IdempotencyKey: key}, nil)
+		return decodeResult(t, raw)
 	}
-	if st := c.stats(); st.Evictions != 1 {
+
+	run("a")
+	run("b")
+	if !run("a").Deduped { // a is now the most recently used
+		t.Fatal("replay of a not deduped")
+	}
+	run("c") // evicts b, the least recently used
+	if st := srv.DedupStats(); st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
-	// The evicted key executes afresh (evicting "b" in turn — the cache
-	// is full again).
-	if v, _, _ := c.consult("a", t0.Add(2*time.Second)); v != dedupExecute {
-		t.Fatal("evicted key a should execute afresh")
+	if !run("a").Deduped {
+		t.Fatal("recently used key a was evicted")
+	}
+	if run("b").Deduped {
+		t.Fatal("evicted key b replayed instead of executing afresh")
 	}
 
-	// All-pending cache refuses new keys instead of evicting in-flight.
-	c2 := newDedupCache(time.Minute, 1)
-	c2.consult("p", t0)
-	if v, _, _ := c2.consult("q", t0); v != dedupBypass {
-		t.Fatalf("all-pending consult = %d, want bypass", v)
+	// Cap 1 held by a pending key: a second key bypasses the cache.
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts1, srv1 := stubServer(t, Options{DedupCap: 1}, holding(`print("hold")`, entered, release, &runs))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postV1(t, ts1, runRequest{Src: `print("hold")`, IdempotencyKey: "p"}, nil)
+	}()
+	<-entered
+	q := runRequest{Src: "print(1)\n", IdempotencyKey: "q"}
+	for i := 0; i < 2; i++ {
+		_, raw := postV1(t, ts1, q, nil)
+		if out := decodeResult(t, raw); out.Deduped || out.Executions != 1 {
+			t.Fatalf("bypassed key run %d: deduped=%v executions=%d, want an unrecorded execution",
+				i+1, out.Deduped, out.Executions)
+		}
+	}
+	close(release)
+	<-done
+	if st := srv1.DedupStats(); st.Recorded != 1 {
+		t.Fatalf("Recorded = %d, want 1 (only the pending key)", st.Recorded)
 	}
 }
 
-// TestDedupWaitCancel: a waiter whose context ends stops waiting.
+// TestDedupWaitCancel: a replay waiting behind an in-flight execution
+// stops waiting when its request context ends, and answers nothing.
 func TestDedupWaitCancel(t *testing.T) {
-	c := newDedupCache(time.Minute, 8)
-	_, e, _ := c.consult("k", time.Unix(1000, 0))
+	var runs atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts, srv := stubServer(t, Options{}, holding(`print("hold")`, entered, release, &runs))
+	req := runRequest{Src: `print("hold")`, IdempotencyKey: "k"}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postV1(t, ts, req, nil)
+	}()
+	<-entered
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if c.wait(ctx, e) {
-		t.Fatal("wait returned true on cancelled context")
+	rec := httptest.NewRecorder()
+	srv.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)).WithContext(ctx))
+	if rec.Body.Len() != 0 {
+		t.Fatalf("cancelled waiter answered: %s", rec.Body.String())
+	}
+	close(release)
+	<-done
+	if st := srv.DedupStats(); st.Hits != 0 || st.Recorded != 1 {
+		t.Fatalf("stats = %+v, want Hits=0 Recorded=1", st)
 	}
 }

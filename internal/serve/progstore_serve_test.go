@@ -9,6 +9,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -260,6 +261,22 @@ func TestRunInlineProgramCacheStamps(t *testing.T) {
 	}
 	if bad.ProgramCache != "" || bad.ProgramRef != "" {
 		t.Errorf("compile error stamped program fields: cache %q ref %q", bad.ProgramCache, bad.ProgramRef)
+	}
+}
+
+// TestHotRefSurvivesInlineChurn: the store evicts least recently used,
+// so a ref run between one-shot inline sources outlives them at a
+// capacity the inline sources alone would fill.
+func TestHotRefSurvivesInlineChurn(t *testing.T) {
+	ts, _, _ := dedupServer(t, Options{ProgCap: 4})
+	ref := registerProgram(t, ts, "print(6 * 7)\n").ProgramRef
+	for i := 0; i < 4; i++ {
+		if status, raw := postJSON(t, ts, "/v1/run", fmt.Sprintf(`{"src": "print(%d)\n"}`, i)); status != 200 {
+			t.Fatalf("inline run %d: status %d %s", i+1, status, raw)
+		}
+		if status, raw := postJSON(t, ts, "/v1/run", `{"programRef": "`+ref+`"}`); status != 200 {
+			t.Fatalf("by-ref run after %d inline sources: status %d %s", i+1, status, raw)
+		}
 	}
 }
 

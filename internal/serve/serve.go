@@ -29,6 +29,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/progstore"
 	"repro/internal/runtime"
+	"repro/internal/sfcache"
 	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
@@ -74,8 +76,10 @@ type Server struct {
 	logMu sync.Mutex
 
 	// dedup is the exactly-once result cache for requests that declare
-	// an idempotency key (see dedup.go).
-	dedup *dedupCache
+	// an idempotency key (see dedup.go); maxExecs backs
+	// DedupStats.MaxExecutions.
+	dedup    *sfcache.Cache[string, api.RunResultV1]
+	maxExecs atomic.Int64
 	// progs is the content-addressed program store behind /v1/programs
 	// and run-by-reference; inline /v1/run sources register read-through.
 	progs *progstore.Store
@@ -83,12 +87,11 @@ type Server struct {
 	// mismatch before parsing.
 	mIntegrityRejects *telemetry.Counter
 
-	// limitsMemo caches Limits.Normalize results keyed by the raw
+	// limits caches Limits.Normalize results keyed by the raw
 	// (comparable) Limits value. Serving traffic reuses a handful of
 	// limit shapes across millions of submits; re-validating the same
 	// value every time was measurable overhead for zero information.
-	limitsMu   sync.Mutex
-	limitsMemo map[api.Limits]api.Limits
+	limits *sfcache.Cache[api.Limits, api.Limits]
 }
 
 // Options tunes server construction beyond the required pool/registry.
@@ -97,13 +100,13 @@ type Options struct {
 	DrainTimeout time.Duration
 	// LogW receives one JSON line per executed job (nil disables).
 	LogW io.Writer
-	// DedupTTL is how long an idempotency key's recorded result is
-	// replayable (default 5m).
+	// DedupTTL is how long an idempotency key's recorded result stays
+	// replayable after its last use (default 5m).
 	DedupTTL time.Duration
 	// DedupCap bounds the dedup cache population (default 4096).
 	DedupCap int
-	// ProgTTL is how long a registered program stays resolvable
-	// (default progstore.DefaultTTL).
+	// ProgTTL is how long a registered program stays resolvable after
+	// its last use (default progstore.DefaultTTL).
 	ProgTTL time.Duration
 	// ProgCap bounds the program-store population (default
 	// progstore.DefaultCap).
@@ -119,32 +122,29 @@ func New(pool Backend, reg *telemetry.Registry, drainTimeout time.Duration, logw
 
 // NewWithOptions builds a Server over a backend with explicit Options.
 func NewWithOptions(pool Backend, reg *telemetry.Registry, opts Options) *Server {
+	if opts.DedupTTL <= 0 {
+		opts.DedupTTL = defaultDedupTTL
+	}
+	if opts.DedupCap <= 0 {
+		opts.DedupCap = defaultDedupCap
+	}
 	s := &Server{
 		pool:         pool,
 		reg:          reg,
 		drainTimeout: opts.DrainTimeout,
 		logw:         opts.LogW,
-		dedup:        newDedupCache(opts.DedupTTL, opts.DedupCap),
+		dedup:        sfcache.New[string, api.RunResultV1](opts.DedupTTL, opts.DedupCap, nil),
 		progs:        progstore.New(progstore.Options{TTL: opts.ProgTTL, Cap: opts.ProgCap}),
-		limitsMemo:   make(map[api.Limits]api.Limits),
+		limits:       sfcache.New[api.Limits, api.Limits](limitsMemoTTL, limitsMemoCap, nil),
 	}
 	s.progs.Instrument(reg)
 	if reg != nil {
-		s.dedup.cHits = reg.Counter("pyserve_dedup_hits_total",
-			"Idempotent replays absorbed by the result-dedup cache.")
-		s.dedup.cRecorded = reg.Counter("pyserve_dedup_recorded_total",
-			"First executions recorded in the result-dedup cache.")
-		s.dedup.cEvictions = reg.Counter("pyserve_dedup_evictions_total",
-			"Dedup cache entries evicted for capacity before their TTL.")
+		s.instrumentDedup(reg)
 		s.mIntegrityRejects = reg.Counter("pyserve_integrity_rejects_total",
 			"Requests rejected for an X-Content-Digest mismatch.")
 	}
 	return s
 }
-
-// DedupStats reports the dedup cache's lifetime counters; the router
-// chaos soak's oracle reads MaxExecutions to prove exactly-once.
-func (s *Server) DedupStats() DedupStats { return s.dedup.stats() }
 
 // ProgStats reports the program store's lifetime counters.
 func (s *Server) ProgStats() progstore.Stats { return s.progs.StatsSnapshot() }
@@ -427,49 +427,38 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 
 	id := s.requestID(r)
 
-	// Exactly-once consult. Requests without a key skip all of this —
-	// one string compare and the dedup layer vanishes. Keyed requests
-	// single-flight: exactly one concurrent holder of a key executes;
-	// replays (concurrent or later, within the TTL) absorb its recorded
-	// result without touching the pool.
-	var entry *dedupEntry
+	// Exactly-once. Requests without a key skip all of this — one string
+	// compare and the dedup layer vanishes. Keyed requests single-flight:
+	// exactly one concurrent holder of a key executes; replays
+	// (concurrent or later, within the TTL) absorb its recorded result
+	// without touching the pool.
+	var res *supervise.JobResult
+	var resp api.RunResultV1
 	if v1 && req.IdempotencyKey != "" {
-	consult:
-		for tries := 0; ; tries++ {
-			verdict, e, rec := s.dedup.consult(req.IdempotencyKey, time.Now())
-			switch verdict {
-			case dedupHit:
-				rec.RequestID = id
-				rec.Deduped = true
-				s.logDedup(id, &req, rec)
-				w.Header().Set(api.HeaderRequestID, id)
-				writeJSONDigested(w, http.StatusOK, rec)
-				return
-			case dedupWait:
-				if !s.dedup.wait(r.Context(), e) {
-					return // client gone; nothing to answer
-				}
-				if tries >= dedupWaitRetries {
-					// The executor kept resolving uncacheably (shed).
-					// Execute unrecorded rather than loop forever.
-					break consult
-				}
-			case dedupExecute:
-				entry = e
-				break consult
-			case dedupBypass:
-				break consult
+		rec, hit, err := s.dedup.Do(r.Context(), req.IdempotencyKey, func() (api.RunResultV1, bool, error) {
+			res, resp = s.runJob(job, id, prog, programCache, true)
+			// Only executed outcomes are recorded: a shed job never
+			// started, so releasing the key lets the retry that follows
+			// the Retry-After hint be the key's first execution.
+			executed := res.Class.Executed()
+			if executed {
+				s.noteExecutions(resp.Executions)
 			}
+			return resp, executed, nil
+		})
+		if err != nil {
+			return // client gone while waiting; nothing to answer
 		}
-	}
-
-	res := s.pool.Submit(job)
-	if entry != nil && !res.Class.Executed() {
-		// The job never started (shed): releasing the entry without a
-		// result lets the retry that follows the Retry-After hint be the
-		// key's first execution.
-		s.dedup.resolve(entry, nil, false, time.Now())
-		entry = nil
+		if hit {
+			rec.RequestID = id
+			rec.Deduped = true
+			s.logDedup(id, &req, &rec)
+			w.Header().Set(api.HeaderRequestID, id)
+			writeJSONDigested(w, http.StatusOK, rec)
+			return
+		}
+	} else {
+		res, resp = s.runJob(job, id, prog, programCache, false)
 	}
 	if prog != nil && res.Class == supervise.ClassOK && res.ICSeed != nil {
 		// Donate the clean run's quickened shapes; the next run of this
@@ -477,6 +466,23 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 		s.progs.OfferSeed(prog.Ref, res.ICSeed)
 	}
 	s.logJob(id, job, res)
+	status := http.StatusOK
+	if res.Class == supervise.ClassShed {
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(res.RetryAfter)))
+	}
+	w.Header().Set(api.HeaderRequestID, id)
+	if v1 {
+		writeJSONDigested(w, status, resp)
+	} else {
+		writeJSON(w, status, resp)
+	}
+}
+
+// runJob submits job to the backend and builds its response. keyed
+// requests carry the execution-count stamp.
+func (s *Server) runJob(job *supervise.Job, id string, prog *progstore.Program, programCache string, keyed bool) (*supervise.JobResult, api.RunResultV1) {
+	res := s.pool.Submit(job)
 	resp := api.RunResultV1{
 		APIVersion: api.Version,
 		RequestID:  id,
@@ -506,11 +512,8 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 			}
 		}
 	}
-	status := http.StatusOK
 	if res.Class == supervise.ClassShed {
-		status = http.StatusServiceUnavailable
 		resp.RetryAfter = float64(res.RetryAfter) / float64(time.Millisecond)
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(res.RetryAfter)))
 	}
 	if res.Class == supervise.ClassOK {
 		resp.Stats = &api.RunStatsV1{
@@ -527,50 +530,33 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 			resp.Breakdown = res.Breakdown.Report()
 		}
 	}
-	if v1 && req.IdempotencyKey != "" && res.Class.Executed() {
+	if keyed && res.Class.Executed() {
 		// The execution-count stamp: how many times the body ran under
-		// this key here. Recording happens below; a value above 1 would
-		// mean the dedup layer failed, and the chaos soak asserts on it.
+		// this key here. A value above 1 would mean the dedup layer
+		// failed, and the chaos soak asserts on it.
 		resp.Executions = 1
 	}
-	if entry != nil {
-		s.dedup.resolve(entry, &resp, true, time.Now())
-	}
-	w.Header().Set(api.HeaderRequestID, id)
-	if v1 {
-		writeJSONDigested(w, status, resp)
-	} else {
-		writeJSON(w, status, resp)
-	}
+	return res, resp
 }
 
-// maxLimitsMemo bounds the normalize-memo population: distinct limit
-// shapes beyond it flush the memo (a hostile client cycling limit
-// values must not grow the map without bound; a flush only costs the
-// next few requests a re-validation).
-const maxLimitsMemo = 1024
+// The normalize memo's bounds: a hostile client cycling limit values
+// must not grow it without bound, and an eviction only costs the next
+// request with that shape a re-validation. Normalize is pure, so the
+// TTL only reclaims shapes nobody sends any more.
+const (
+	limitsMemoCap = 1024
+	limitsMemoTTL = time.Hour
+)
 
 // normalizeLimits is Limits.Normalize behind a memo keyed on the raw
 // value. Only successful normalizations are cached — errors are the
 // rare path and keep their exact message.
 func (s *Server) normalizeLimits(l api.Limits) (api.Limits, error) {
-	s.limitsMu.Lock()
-	if norm, ok := s.limitsMemo[l]; ok {
-		s.limitsMu.Unlock()
-		return norm, nil
-	}
-	s.limitsMu.Unlock()
-	norm, err := l.Normalize()
-	if err != nil {
-		return norm, err
-	}
-	s.limitsMu.Lock()
-	if len(s.limitsMemo) >= maxLimitsMemo {
-		s.limitsMemo = make(map[api.Limits]api.Limits)
-	}
-	s.limitsMemo[l] = norm
-	s.limitsMu.Unlock()
-	return norm, nil
+	norm, _, err := s.limits.Do(context.Background(), l, func() (api.Limits, bool, error) {
+		norm, err := l.Normalize()
+		return norm, err == nil, err
+	})
+	return norm, err
 }
 
 // handleProgramsV1 is POST /v1/programs: register a program source in

@@ -175,6 +175,14 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
+// CounterFunc registers a counter read from fn at scrape time, for a
+// subsystem that already keeps its own lifetime counts under its own
+// lock (the sfcache instances). fn must never decrease; like GaugeFunc's
+// callback it runs on the scrape path only.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.register(name, &counterFuncFam{name: name, help: help, fn: fn})
+}
+
 // CounterVec registers a counter family keyed by one label over a fixed
 // value set.
 func (r *Registry) CounterVec(name, help, label string, values []string) *CounterVec {
@@ -267,6 +275,18 @@ func (f *counterFam) expose(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// counterFuncFam renders one callback counter.
+type counterFuncFam struct {
+	name, help string
+	fn         func() uint64
+}
+
+func (f *counterFuncFam) expose(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
+		f.name, f.help, f.name, f.name, f.fn())
+	return err
 }
 
 // gaugeFam renders one callback gauge.

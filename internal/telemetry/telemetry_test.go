@@ -235,6 +235,7 @@ func TestExpositionFormat(t *testing.T) {
 	cv := r.CounterVec("class_total", "Per class.", "class", []string{`we"ird`, "ok"})
 	cv.Add(1, 3)
 	r.GaugeFunc("workers", "Live workers.", func() float64 { return 4 })
+	r.CounterFunc("cache_hits_total", "Cache hits.", func() uint64 { return 9 })
 	h := r.Histogram("lat_seconds", "Latency.")
 	h.Observe(1024 * time.Nanosecond) // bucket 0
 	h.Observe(3 * time.Microsecond)   // bucket 2 (bound 4.096 µs)
@@ -250,6 +251,7 @@ func TestExpositionFormat(t *testing.T) {
 		`class_total{class="we\"ird"} 0`,
 		`class_total{class="ok"} 3`,
 		"# TYPE workers gauge\nworkers 4\n",
+		"# HELP cache_hits_total Cache hits.\n# TYPE cache_hits_total counter\ncache_hits_total 9\n",
 		"# TYPE lat_seconds histogram\n",
 		`lat_seconds_bucket{le="1.024e-06"} 1`,
 		`lat_seconds_bucket{le="4.096e-06"} 2`,
