@@ -11,8 +11,7 @@
 //	pyfuzz -n 200 -corpus /tmp/corpus -nurseries 64,256,4096
 //	pyfuzz -replay internal/difftest/corpus
 //	pyfuzz -faults -n 200
-//	pyfuzz -pool -n 500
-//	pyfuzz -sched -n 500
+//	pyfuzz -sched -n 500 -metrics
 //	pyfuzz -quicken -n 500
 //	pyfuzz -progstore -n 300
 //
@@ -44,19 +43,17 @@
 // exceptions — never as output divergences, internal errors, or host
 // panics.
 //
-// With -sched, the same generated programs — plus long multi-quantum
-// loops — run through the step-sliced scheduler (internal/supervise
-// Sched) from concurrent submitters at a deliberately small quantum, so
-// every long job is preempted many times; the oracle diffs each
-// executed result against a fresh exclusive reference run, proving
-// arbitrary park/resume interleavings change nothing observable.
-//
-// With -pool, the attack moves up a layer: the same generated programs
-// run through the internal/supervise worker pool while seeded
-// supervision faults (worker wedges, pool slot leaks) fire, and the
-// oracle verifies the supervisor's contract — faults never take the
-// pool down, never cross-contaminate another job's output, and always
-// surface as a well-formed error class.
+// With -sched, the attack moves up a layer: the same generated programs
+// — plus long multi-quantum loops — run through the internal/supervise
+// scheduler from concurrent submitters at a deliberately small quantum,
+// so every long job is preempted many times, while a seeded wedge fault
+// stalls every 40th job past the watchdog. The oracle diffs each
+// executed result against a fresh exclusive reference run and verifies
+// the supervision contract: wedges never take the scheduler down,
+// neither faults nor park/resume interleavings cross-contaminate another
+// job's output, and every outcome is a well-formed error class. With
+// -metrics the soak scheduler is instrumented and the Prometheus
+// exposition printed after the jobs drain.
 //
 // Exit status is nonzero if any divergence or invariant failure was
 // observed.
@@ -90,14 +87,10 @@ func run() int {
 		faultSeed = flag.Uint64("fault-seed", 0, "with -faults, injector seed (0: use -seed)")
 		quicken   = flag.Bool("quicken", false, "quickening soak: focused leg matrix (cold interpreter, inline-cache flush churn, JIT) against the quickened baseline")
 		progstore = flag.Bool("progstore", false, "program-store soak: store-cold, IC-seed warm start, eviction/recompile churn, and SeedCorrupt injection on the seed path, all diffed against the directly-compiled baseline")
-		pool      = flag.Bool("pool", false, "pool-chaos soak: run programs through the supervise worker pool under injected supervision faults")
-		sched     = flag.Bool("sched", false, "scheduler-chaos soak: mixed long/short jobs through the step-sliced scheduler with forced preemption, each diffed against a fresh exclusive reference run")
+		sched     = flag.Bool("sched", false, "scheduler-chaos soak: mixed long/short jobs through the step-sliced scheduler with forced preemption and injected wedges, each diffed against a fresh exclusive reference run")
 		slots     = flag.Int("sched-slots", 2, "with -sched, concurrent execution slots")
 		quantum   = flag.Uint64("sched-quantum", 2000, "with -sched, preemption granularity in bytecodes")
-		poolSize  = flag.Int("pool-workers", 4, "with -pool, number of warm workers")
-		wedgeN    = flag.Uint64("pool-wedge-every", 40, "with -pool, inject a worker wedge every Nth job (0: never)")
-		leakN     = flag.Uint64("pool-leak-every", 25, "with -pool, inject a slot leak every Nth job (0: never)")
-		metrics   = flag.Bool("metrics", false, "with -pool, instrument the soak pool and print the Prometheus exposition after the jobs drain")
+		metrics   = flag.Bool("metrics", false, "with -sched, instrument the soak scheduler and print the Prometheus exposition after the jobs drain")
 		routing   = flag.Bool("route", false, "router chaos soak: drive a verified corpus through a real pyroute front over real replicas while backend kill/wedge/flap faults fire")
 		downN     = flag.Uint64("route-down-every", 20, "with -route, kill replica 1 for good at this injector tick (0: never)")
 		slowN     = flag.Uint64("route-slow-every", 35, "with -route, wedge the last replica every Nth tick (0: never)")
@@ -172,7 +165,7 @@ func run() int {
 			Jobs:         *n,
 			Slots:        *slots,
 			QuantumSteps: *quantum,
-			WedgeEveryN:  *wedgeN,
+			WedgeEveryN:  40,
 		}
 		var reg *telemetry.Registry
 		if *metrics {
@@ -183,37 +176,6 @@ func run() int {
 		s := res.Stats
 		fmt.Printf("sched soak: %d jobs, %d completed, %d preemptions, %d shed, %d wedged, %d slots\n",
 			res.Jobs, s.Completed, s.Preempted, s.Shed, s.Wedged, s.Workers)
-		for _, v := range res.Violations {
-			fmt.Printf("violation: %s\n", v)
-		}
-		if reg != nil {
-			if err := reg.WritePrometheus(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "pyfuzz: metrics exposition: %v\n", err)
-			}
-		}
-		if !res.Ok() {
-			return 1
-		}
-		return 0
-	}
-
-	if *pool {
-		cfg := supervise.SoakConfig{
-			Seed:        *seed,
-			Jobs:        *n,
-			Workers:     *poolSize,
-			WedgeEveryN: *wedgeN,
-			LeakEveryN:  *leakN,
-		}
-		var reg *telemetry.Registry
-		if *metrics {
-			reg = telemetry.NewRegistry()
-			cfg.Metrics = supervise.NewMetrics(reg)
-		}
-		res := supervise.Soak(cfg)
-		s := res.Stats
-		fmt.Printf("pool soak: %d jobs, %d completed, %d shed, %d wedged, %d poisoned, %d leaked, %d recycled, %d restarts, %d live workers\n",
-			res.Jobs, s.Completed, s.Shed, s.Wedged, s.Poisoned, s.Leaked, s.Recycled, s.Restarts, s.Workers)
 		for _, v := range res.Violations {
 			fmt.Printf("violation: %s\n", v)
 		}

@@ -1,7 +1,8 @@
 // Command pyserve is the MiniPy serving daemon: an HTTP/JSON front end
-// over the internal/supervise worker pool. Programs run on warm,
-// reusable VM workers under per-request resource budgets; worker
-// failures are quarantined and replaced without dropping the service.
+// over the internal/supervise scheduler. Programs run on warm, reusable
+// VMs under per-request resource budgets; a poisoned or wedged VM is
+// dropped and the next job gets a fresh one, without dropping the
+// service.
 // The server itself lives in internal/serve so the routing tier
 // (internal/route, cmd/pyroute) can spin in-process backends; this
 // command is flag parsing and wiring.
@@ -14,11 +15,13 @@
 //	        [-prog-ttl 30m] [-prog-cap 1024]
 //	        [-sched] [-lanes 2] [-quantum-steps 50000]
 //
-// With -sched the backend is the step-sliced scheduler instead of the
-// exclusive pool: -workers becomes the concurrent slot count, jobs
+// By default the scheduler runs in its exclusive configuration
+// (supervise.NewPool): -workers jobs run at once, each holding its VM
+// until it finishes, with -queue more waiting. With -sched it is
+// step-sliced instead: -workers becomes the concurrent slot count, jobs
 // interleave at -quantum-steps granularity under strict-priority lanes
-// and per-tenant fair queueing, and many more jobs than slots can be
-// in flight at once (long programs no longer block short ones).
+// and per-tenant round-robin, and many more jobs than slots can be in
+// flight at once (long programs no longer block short ones).
 //
 // Endpoints (versioned API, see internal/api and internal/serve):
 //
@@ -53,13 +56,13 @@ import (
 func run() int {
 	var (
 		addr      = flag.String("addr", ":8042", "listen address")
-		workers   = flag.Int("workers", 4, "warm VM workers in the pool")
+		workers   = flag.Int("workers", 4, "jobs executing at once (warm VM slots)")
 		queue     = flag.Int("queue", 0, "admission queue depth (0: 2x workers)")
 		timeout   = flag.Duration("timeout", 5*time.Second, "default wall-clock deadline per job")
 		maxSteps  = flag.Uint64("max-steps", 50_000_000, "default step budget per job (0: unlimited)")
 		maxHeap   = flag.Uint64("max-heap", 256<<20, "default live-heap cap per job in bytes (0: unlimited)")
 		maxOutput = flag.Uint64("max-output", 8<<20, "default output cap per job in bytes (0: unlimited)")
-		recycle   = flag.Int("recycle", 256, "retire a worker after this many jobs")
+		recycle   = flag.Int("recycle", 256, "retire a warm VM after this many jobs")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long /drainz waits for in-flight jobs")
 		dedupTTL  = flag.Duration("dedup-ttl", 5*time.Minute, "how long an idempotency key's recorded result answers replays after its last use")
 		dedupCap  = flag.Int("dedup-cap", 4096, "max idempotency keys held in the dedup cache")

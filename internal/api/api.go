@@ -146,10 +146,10 @@ type RunRequestV1 struct {
 	IdempotencyKey string `json:"idempotencyKey,omitempty"`
 	// Lane is the priority lane under a step-sliced backend (0 is
 	// highest; clamped to the backend's lane count). Ignored — and
-	// harmless — on an exclusive-pool backend.
+	// harmless — in the one-lane exclusive configuration.
 	Lane int `json:"lane,omitempty"`
 	// Tenant is the fair-queueing identity under a step-sliced backend:
-	// tenants within a lane share step throughput deficit-round-robin.
+	// tenants within a lane are served round-robin, one slice each.
 	// Empty is a valid (shared) tenant.
 	Tenant string `json:"tenant,omitempty"`
 }

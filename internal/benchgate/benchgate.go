@@ -62,7 +62,7 @@ var Table = []Gate{
 		Package:        "./internal/supervise/",
 		Test:           "TestSchedOverheadGuard",
 		MaxOverheadPct: 2.0,
-		Baseline:       "single job on the exclusive pool",
+		Baseline:       "single job in the exclusive configuration (NewPool)",
 		Optimized:      "single job on the step-sliced scheduler (default quantum, no contention)",
 	},
 	{

@@ -41,17 +41,12 @@ const (
 	// TraceCompileFail aborts trace compilation at the final stage; the
 	// loop must keep running interpreted.
 	TraceCompileFail
-	// WorkerWedge stalls a supervised pool worker at job start (the
-	// worker sleeps past the supervisor's watchdog), simulating a job
-	// that neither finishes nor trips a VM limit. The supervisor must
-	// classify the job as wedged, quarantine the worker, and spawn a
-	// replacement — the pool itself must stay up.
+	// WorkerWedge stalls a supervised job at its first slice (the
+	// executor sleeps past the scheduler's watchdog), simulating a job
+	// that neither finishes nor trips a VM limit. The scheduler must
+	// classify the job as wedged, release its slot, and retire its
+	// Runner — the scheduler itself must stay up.
 	WorkerWedge
-	// PoolSlotLeak makes a supervised pool worker fail to return itself
-	// to the idle ring after completing a job (a lost slot). The
-	// supervisor's accounting must detect the missing worker and restore
-	// pool capacity.
-	PoolSlotLeak
 	// GuardChainCorrupt forces a polymorphic inline-cache chain walk to
 	// report a whole-chain miss even when an entry would have matched.
 	// The site must fall back to the generic lookup and refill with
@@ -105,7 +100,7 @@ const (
 )
 
 var kindNames = [NumKinds]string{"alloc-fail", "nursery-exhaust", "guard-corrupt", "trace-compile-fail",
-	"worker-wedge", "pool-slot-leak", "guard-chain-corrupt",
+	"worker-wedge", "guard-chain-corrupt",
 	"backend-down", "backend-slow", "backend-flap",
 	"net-reset", "net-stall", "net-truncate", "net-corrupt", "net-delay",
 	"seed-corrupt"}

@@ -145,14 +145,14 @@ func TestSupervisionKindsFire(t *testing.T) {
 	if fired != 3 {
 		t.Fatalf("worker-wedge every-3rd over 9 visits: fired %d", fired)
 	}
-	in2 := NewRate(7, 2, PoolSlotLeak)
+	in2 := NewRate(7, 2, WorkerWedge)
 	any := false
 	for i := 0; i < 64; i++ {
-		if in2.Should(PoolSlotLeak) {
+		if in2.Should(WorkerWedge) {
 			any = true
 		}
 	}
 	if !any {
-		t.Error("pool-slot-leak at rate 1/2 never fired in 64 visits")
+		t.Error("worker-wedge at rate 1/2 never fired in 64 visits")
 	}
 }

@@ -30,7 +30,7 @@ var testLimits = interp.Limits{
 }
 
 // newServeBackend starts a real in-process pyserve backend.
-func newServeBackend(t *testing.T, workers int) (*supervise.Pool, *httptest.Server) {
+func newServeBackend(t *testing.T, workers int) (*supervise.Sched, *httptest.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	pool := supervise.NewPool(supervise.Config{

@@ -137,7 +137,7 @@ var soakLimits = interp.Limits{
 // dies mid-response, as a crash would); Start rebinds the same address.
 type chaosBackend struct {
 	addr string
-	pool *supervise.Pool
+	pool *supervise.Sched
 	api  *serve.Server // for DedupStats in the exactly-once oracle
 
 	handler http.Handler

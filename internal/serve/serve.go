@@ -1,5 +1,5 @@
 // Package serve is the pyserve HTTP serving layer: the versioned /v1
-// JSON surface over an internal/supervise worker pool. cmd/pyserve is a
+// JSON surface over an internal/supervise scheduler. cmd/pyserve is a
 // thin flag-parsing wrapper; keeping the server here lets the router
 // (internal/route) and its chaos soaks spin real in-process backends.
 //
@@ -48,11 +48,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Backend is the execution engine behind the HTTP surface: the
-// exclusive worker pool (supervise.Pool) or the step-sliced scheduler
-// (supervise.Sched). The server only needs the submit/observe/drain
-// triad — everything scheduler-specific travels inside Job and
-// JobResult, so one handler serves both.
+// Backend is the execution engine behind the HTTP surface: a
+// supervise.Sched in either configuration (exclusive via NewPool, or
+// step-sliced via NewSched), or anything that embeds one — such as a
+// timing decorator. The server only needs the submit/observe/drain
+// triad; everything scheduler-specific travels inside Job and JobResult.
 type Backend interface {
 	Submit(job *supervise.Job) *supervise.JobResult
 	Stats() supervise.Stats
@@ -113,8 +113,7 @@ type Options struct {
 	ProgCap int
 }
 
-// New builds a Server over a backend (the exclusive pool or the
-// step-sliced scheduler). reg backs /metrics, drainTimeout bounds
+// New builds a Server over a backend. reg backs /metrics, drainTimeout bounds
 // /drainz, logw (nil to disable) receives per-job structured log lines.
 func New(pool Backend, reg *telemetry.Registry, drainTimeout time.Duration, logw io.Writer) *Server {
 	return NewWithOptions(pool, reg, Options{DrainTimeout: drainTimeout, LogW: logw})

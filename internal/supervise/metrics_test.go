@@ -14,8 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// metricsPool builds an instrumented pool for telemetry tests.
-func metricsPool(t *testing.T, workers int) (*Pool, *telemetry.Registry) {
+// metricsPool builds an instrumented exclusive scheduler for telemetry
+// tests.
+func metricsPool(t *testing.T, workers int) (*Sched, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	pool := NewPool(Config{
@@ -36,7 +37,7 @@ func scrape(t *testing.T, reg *telemetry.Registry) string {
 	return buf.String()
 }
 
-// TestPoolMetricsEndToEnd drives an instrumented pool through clean,
+// TestPoolMetricsEndToEnd drives an instrumented scheduler through clean,
 // errored, shed, and breakdown-enabled jobs and checks the scrape: job
 // counters by class, latency histograms, occupancy gauges, and the live
 // overhead-category attribution accumulator.
@@ -61,13 +62,14 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 		`minipy_jobs_total{class="error"} 1`,
 		`minipy_jobs_total{class="shed"} 0`,
 		`minipy_pool_events_total{event="shed"} 0`,
+		`minipy_pool_events_total{event="restart"} 0`,
 		`minipy_job_run_seconds_count{class="ok"} 6`,
 		`minipy_job_queue_wait_seconds_count{class="ok"} 6`,
 		"# TYPE minipy_job_run_seconds histogram",
-		"# TYPE minipy_pool_workers gauge",
-		"minipy_pool_workers 2",
-		"minipy_pool_queued 0",
-		"minipy_pool_heap_reserved_bytes 0",
+		"# TYPE minipy_sched_running gauge",
+		"# TYPE minipy_sched_resident gauge",
+		"# TYPE minipy_sched_heap_reserved_bytes gauge",
+		"minipy_sched_waiting 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -128,14 +130,13 @@ func TestBreakdownPlumbing(t *testing.T) {
 	}
 	st := pool.Stats()
 	if st.Poisoned != 0 || st.Wedged != 0 {
-		t.Fatalf("breakdown traffic hurt workers: %+v", st)
+		t.Fatalf("breakdown traffic hurt Runners: %+v", st)
 	}
 }
 
-// TestMetricsConcurrentScrapes hammers an instrumented pool from
+// TestMetricsConcurrentScrapes hammers an instrumented scheduler from
 // parallel submitters while scraping continuously: the -race gate for
-// the pool↔telemetry integration, and a monotonicity check on the
-// scraped job counter.
+// the scheduler↔telemetry integration.
 func TestMetricsConcurrentScrapes(t *testing.T) {
 	pool, reg := metricsPool(t, 4)
 	var wg sync.WaitGroup
@@ -197,7 +198,7 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 // regression: per-job deadlines that are huge (the multiply in the
 // watchdog derivation would overflow) or negative (bypassing the "zero
 // means default" inheritance) must not produce an already-expired
-// watchdog that condemns a healthy worker.
+// watchdog that condemns a healthy job.
 func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
 	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
 	defer pool.Close()
@@ -218,7 +219,7 @@ func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
 			Limits: interp.Limits{Deadline: tc.deadline},
 		}
 		// The derived watchdog must be strictly positive and generous.
-		if wd := pool.watchdog(job); wd <= 0 {
+		if wd := pool.jobWatchdog(pool.effectiveLimits(job)); wd <= 0 {
 			t.Fatalf("%s: watchdog %v not positive", tc.name, wd)
 		}
 		res := pool.Submit(job)
@@ -236,16 +237,14 @@ func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
 	}
 
 	st := pool.Stats()
-	if st.Wedged != 0 || st.Poisoned != 0 || st.Leaked != 0 || st.Restarts != 0 {
-		t.Fatalf("extreme deadlines condemned workers: %+v", st)
+	if st.Wedged != 0 || st.Poisoned != 0 || st.Restarts != 0 {
+		t.Fatalf("extreme deadlines condemned Runners: %+v", st)
 	}
-	if st.Workers != 1 {
-		t.Fatalf("pool lost its worker: %+v", st)
-	}
+	waitStats(t, pool, "slot released", func(s Stats) bool { return s.Idle == 1 })
 }
 
 // TestEffectiveLimitsDefendNonPositive: non-positive per-job deadline
-// and recursion depth fall back to the pool defaults.
+// and recursion depth fall back to the defaults.
 func TestEffectiveLimitsDefendNonPositive(t *testing.T) {
 	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
 	defer pool.Close()
@@ -263,20 +262,18 @@ func TestEffectiveLimitsDefendNonPositive(t *testing.T) {
 }
 
 // TestFireFaultUnfaultedPool is the nil-injector regression: probing any
-// fault kind on a pool with no injector configured must be a safe no-op
-// (and must not touch the pool mutex — jobs exercise this on their hot
-// path twice per job).
+// fault kind on a scheduler with no injector configured must be a safe
+// no-op (and must not touch the mutex — every job probes it at start).
 func TestFireFaultUnfaultedPool(t *testing.T) {
 	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
 	defer pool.Close()
 	for k := faults.Kind(0); k < faults.NumKinds; k++ {
 		if pool.fireFault(k) {
-			t.Fatalf("unfaulted pool fired %s", k)
+			t.Fatalf("unfaulted scheduler fired %s", k)
 		}
 	}
-	// And a full job exercises both in-tree probe sites (job start wedge
-	// probe, post-job leak probe).
+	// And a full job exercises the in-tree probe site (job start wedge).
 	if res := pool.Submit(&Job{Name: "f.py", Src: "print(1)\n", Mode: runtime.CPython}); res.Class != ClassOK {
-		t.Fatalf("job on unfaulted pool: %s %s", res.Class, res.Err)
+		t.Fatalf("job on unfaulted scheduler: %s %s", res.Class, res.Err)
 	}
 }

@@ -3,199 +3,65 @@ package supervise
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/interp"
-	"repro/internal/pycode"
-	"repro/internal/runtime"
 )
 
-// Config parameterizes a Pool. Zero values take the documented defaults.
+// Config parameterizes the exclusive configuration (NewPool). Zero values
+// take the documented defaults.
 type Config struct {
-	// Workers is the pool size (default 4).
+	// Workers is how many jobs run at once, each holding its VM until it
+	// finishes (default 4).
 	Workers int
-	// QueueDepth bounds jobs admitted but not yet dispatched; beyond it
+	// QueueDepth bounds jobs admitted but not yet running; beyond it
 	// Submit sheds (default 2 x Workers).
 	QueueDepth int
 	// HeapWatermark bounds the summed heap reservations (each job's
-	// effective MaxHeapBytes) of admitted jobs; beyond it Submit sheds
-	// (default 1 GiB).
+	// effective MaxHeapBytes) of running jobs; a job past it waits, and a
+	// single job reserving more than it is shed (default 1 GiB).
 	HeapWatermark uint64
-	// RecycleAfter replaces a healthy worker after this many jobs, to
-	// bound state drift (default 256).
+	// RecycleAfter retires a Runner after this many jobs, to bound state
+	// drift (default 256).
 	RecycleAfter int
-	// RestartBudget is the circuit breaker: at most this many
-	// unplanned worker replacements per RestartWindow; past it the pool
-	// stops replacing until the window slides (default 8 per minute).
-	RestartBudget int
-	RestartWindow time.Duration
-	// BackoffBase/BackoffMax pace unplanned replacements: the k-th
-	// consecutive replacement waits BackoffBase << k, capped (defaults
-	// 10ms / 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// WedgeFactor and WedgeSlack derive the watchdog from a job's
-	// deadline: a worker is declared wedged after
-	// deadline*WedgeFactor + WedgeSlack (defaults 2 and 250ms).
-	WedgeFactor int
-	WedgeSlack  time.Duration
-	// DefaultLimits fills any zero field of a job's Limits. Its
-	// Deadline defaults to 5s: a supervised job always has a wall-clock
-	// bound, or the watchdog could not be derived.
+	// WedgeSlack pads the watchdog: a job is declared wedged after
+	// 2 x its deadline + WedgeSlack (default 250ms).
+	WedgeSlack time.Duration
+	// DefaultLimits fills any zero field of a job's Limits. Its Deadline
+	// defaults to 5s: a supervised job always has a wall-clock bound, or
+	// the watchdog could not be derived.
 	DefaultLimits interp.Limits
-	// Faults, when non-nil, injects supervision-layer chaos
-	// (WorkerWedge, PoolSlotLeak). Guarded by the pool mutex — the
-	// injector itself is not concurrency-safe.
+	// Faults, when non-nil, injects supervision-layer chaos (WorkerWedge).
 	Faults *faults.Injector
-	// VMFaults, when non-nil, builds a per-job VM-layer injector
-	// (chaos soaks); nil runs jobs unfaulted.
-	VMFaults func(job *Job) *faults.Injector
-	// MaintInterval paces the maintenance scan that detects leaked or
-	// wedged workers and restores pool capacity (default 25ms).
-	MaintInterval time.Duration
-	// Metrics, when non-nil, mirrors pool activity into telemetry
-	// instruments (see NewMetrics) and registers occupancy gauges on the
-	// metrics registry. Nil runs the pool unobserved at zero cost.
+	// Metrics, when non-nil, mirrors activity into telemetry instruments
+	// (see NewMetrics). Nil runs unobserved at zero cost.
 	Metrics *Metrics
 }
 
-func (c *Config) setDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.HeapWatermark == 0 {
-		c.HeapWatermark = 1 << 30
-	}
-	if c.RecycleAfter <= 0 {
-		c.RecycleAfter = 256
-	}
-	if c.RestartBudget <= 0 {
-		c.RestartBudget = 8
-	}
-	if c.RestartWindow <= 0 {
-		c.RestartWindow = time.Minute
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.WedgeFactor <= 0 {
-		c.WedgeFactor = 2
-	}
-	if c.WedgeSlack <= 0 {
-		c.WedgeSlack = 250 * time.Millisecond
-	}
-	if c.DefaultLimits.Deadline == 0 {
-		c.DefaultLimits.Deadline = 5 * time.Second
-	}
-	if c.MaintInterval <= 0 {
-		c.MaintInterval = 25 * time.Millisecond
-	}
-}
+// exclusiveQuantum is a slice the governor saturates on: the yield point
+// is unreachable, so a job never gives up its slot.
+const exclusiveQuantum = ^uint64(0)
 
-// Job is one unit of work: a MiniPy program and the runtime mode to
-// execute it under.
-type Job struct {
-	Name string
-	// Src is the program source; Code, when non-nil, is a precompiled
-	// program and wins over Src.
-	Src  string
-	Code *pycode.Code
-	Mode runtime.Mode
-	// Limits are per-job resource budgets; zero fields inherit the
-	// pool's DefaultLimits.
-	Limits interp.Limits
-	// Breakdown requests live overhead attribution: the job runs under
-	// the simple-core attribution pipeline (slower, but its result
-	// carries the paper's per-category cycle breakdown) instead of the
-	// functional fast path.
-	Breakdown bool
-	// Lane is the priority lane under the step-sliced scheduler (0 is
-	// highest; clamped to the configured lane count). The exclusive
-	// pool ignores it.
-	Lane int
-	// Tenant is the fair-queueing identity under the step-sliced
-	// scheduler: tenants in a lane share step throughput
-	// deficit-round-robin. Empty is a valid (shared) tenant. The
-	// exclusive pool ignores it.
-	Tenant string
-	// ICSeed, when non-nil, warm-starts the worker VM's inline caches
-	// from a donor's portable seed (program-store warm start). Advisory
-	// only: a stale seed costs refills, never semantics.
-	ICSeed *interp.ICSeed
-	// CollectICSeed opts the job into exporting the run's quickened
-	// state as JobResult.ICSeed (the store's seed-donation path).
-	CollectICSeed bool
-}
-
-// JobResult is everything the supervisor reports about one job.
-type JobResult struct {
-	Class  Class
-	Err    string // error rendering; "" when Class == ClassOK
-	Output string
-	Mode   runtime.Mode
-	Worker int // id of the worker that ran the job (-1 if none did)
-	// Queued and RunTime split the job's latency into admission wait
-	// and execution.
-	Queued  time.Duration
-	RunTime time.Duration
-	// RetryAfter is the shed hint (Class == ClassShed only).
-	RetryAfter time.Duration
-	// Execution statistics (zero on errored runs).
-	Bytecodes   uint64
-	Allocs      uint64
-	MinorGCs    uint64
-	MajorGCs    uint64
-	ErrorDeopts uint64
-	// IC is the run's inline-cache activity (quickened interpreter);
-	// zero when quickening is disabled or the run errored.
-	IC interp.ICStats
-	// ICSeed is the portable warm-start seed exported from the run's
-	// quickened state (Job.CollectICSeed runs with a clean exit only).
-	ICSeed *interp.ICSeed
-	// Breakdown is the job's overhead attribution, present only when the
-	// job requested it (Job.Breakdown) and ran to a clean exit.
-	Breakdown *core.Breakdown
-	// Preemptions counts how many times the step-sliced scheduler parked
-	// this job at a quantum boundary (always 0 on the exclusive pool).
-	Preemptions int
-	// Lifecycle is the job's timestamped QUEUED→…→FINISHED transition
-	// trace under the step-sliced scheduler (nil on the exclusive pool;
-	// capped at 32 entries, Preemptions stays exact past the cap).
-	Lifecycle []LifeEvent
-
-	// health carries the worker's post-job probe verdict to finishJob;
-	// not part of the reported result.
-	health string
-}
-
-// Stats counts pool activity. Counter fields are cumulative; Workers,
-// Idle, and Queued are a point-in-time snapshot filled by Pool.Stats.
-type Stats struct {
-	Submitted   uint64
-	Completed   uint64 // replies delivered (any class but shed/wedged)
-	Shed        uint64
-	Wedged      uint64
-	Poisoned    uint64 // workers quarantined for internal errors / bad probes
-	Leaked      uint64 // slot leaks detected and repaired
-	Recycled    uint64 // planned replacements (job-count policy)
-	Restarts    uint64 // unplanned replacements spawned
-	BreakerOpen uint64 // replacement attempts refused by the circuit breaker
-	Preempted   uint64 // scheduler preemptions (step-sliced mode only)
-
-	Workers  int
-	Idle     int
-	Queued   int
-	Resident int // jobs holding a live VM (step-sliced mode only)
-	HeapReserved uint64
-	// HeapWatermark is the pool's configured admission watermark, so
-	// readiness probes can tell "shedding at capacity" (HeapReserved at
-	// the watermark) apart from ordinary load.
-	HeapWatermark uint64
-	Draining      bool
+// NewPool builds the exclusive configuration of the scheduler: Workers
+// slots, one lane, residency equal to the slot count, and a quantum that
+// never ends, so every job owns a warm VM from grant to finish.
+func NewPool(cfg Config) *Sched {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 2 * cfg.Workers
+	}
+	return NewSched(SchedConfig{
+		Slots:         cfg.Workers,
+		QuantumSteps:  exclusiveQuantum,
+		Lanes:         1,
+		MaxInFlight:   cfg.Workers + cfg.QueueDepth,
+		MaxResident:   cfg.Workers,
+		HeapWatermark: cfg.HeapWatermark,
+		RecycleAfter:  cfg.RecycleAfter,
+		DefaultLimits: cfg.DefaultLimits,
+		WedgeSlack:    cfg.WedgeSlack,
+		Faults:        cfg.Faults,
+		Metrics:       cfg.Metrics,
+	})
 }

@@ -2,10 +2,12 @@ package supervise
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/difftest"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/pycode"
@@ -13,15 +15,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// testLimits keeps pool tests fast: short deadlines shrink the wedge
-// watchdog, and generous functional budgets keep honest programs clean.
+// testLimits keeps exclusive-configuration tests fast: short deadlines
+// shrink the wedge watchdog, and generous functional budgets keep honest
+// programs clean.
 var testLimits = interp.Limits{
 	MaxSteps:     5_000_000,
 	MaxHeapBytes: 64 << 20,
 	Deadline:     200 * time.Millisecond,
 }
 
-func testPool(t *testing.T, cfg Config) *Pool {
+func testPool(t *testing.T, cfg Config) *Sched {
 	t.Helper()
 	if cfg.DefaultLimits == (interp.Limits{}) {
 		cfg.DefaultLimits = testLimits
@@ -29,19 +32,13 @@ func testPool(t *testing.T, cfg Config) *Pool {
 	if cfg.WedgeSlack == 0 {
 		cfg.WedgeSlack = 50 * time.Millisecond
 	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 20 * time.Millisecond
-	}
 	p := NewPool(cfg)
 	t.Cleanup(p.Close)
 	return p
 }
 
-// waitStats polls the pool until pred holds or the deadline passes.
-func waitStats(t *testing.T, p *Pool, what string, pred func(Stats) bool) Stats {
+// waitStats polls the scheduler until pred holds or the deadline passes.
+func waitStats(t *testing.T, p *Sched, what string, pred func(Stats) bool) Stats {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -70,8 +67,8 @@ func badCode() *pycode.Code {
 	}
 }
 
-// TestPoolRunsAllModes: one pool serves correct results in every runtime
-// mode, twice per mode to exercise the warm-reuse path.
+// TestPoolRunsAllModes: one exclusive scheduler serves correct results in
+// every runtime mode, twice per mode to exercise the warm-reuse path.
 func TestPoolRunsAllModes(t *testing.T) {
 	p := testPool(t, Config{Workers: 2})
 	const src = "total = 0\nfor i in range(100):\n    total = total + i\nprint(total)\n"
@@ -90,16 +87,14 @@ func TestPoolRunsAllModes(t *testing.T) {
 		}
 	}
 	if s := p.Stats(); s.Poisoned != 0 || s.Wedged != 0 {
-		t.Fatalf("healthy workload poisoned/wedged workers: %+v", s)
+		t.Fatalf("healthy workload poisoned/wedged Runners: %+v", s)
 	}
 }
 
-// TestPoolConcurrentSubmitters: many goroutines share the pool; every
-// job gets its own uncontaminated output.
+// TestPoolConcurrentSubmitters: many goroutines share the exclusive
+// scheduler; every job gets its own uncontaminated output.
 func TestPoolConcurrentSubmitters(t *testing.T) {
-	// 32 jobs each reserving testLimits.MaxHeapBytes: keep the summed
-	// reservations under the watermark so nothing sheds.
-	p := testPool(t, Config{Workers: 4, QueueDepth: 64, HeapWatermark: 1 << 40})
+	p := testPool(t, Config{Workers: 4, QueueDepth: 64})
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
 	for g := 0; g < 32; g++ {
@@ -131,8 +126,8 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 }
 
 // TestInternalErrorPoisonsWorker: a job that dies of an InternalError is
-// classified, its worker is quarantined and replaced, and the pool keeps
-// serving.
+// classified, its Runner is dropped (an unplanned retirement), and the
+// next job runs on a fresh Runner.
 func TestInternalErrorPoisonsWorker(t *testing.T) {
 	p := testPool(t, Config{Workers: 1})
 	res := p.Submit(&Job{Name: "bad.py", Code: badCode(), Mode: runtime.CPython})
@@ -142,26 +137,26 @@ func TestInternalErrorPoisonsWorker(t *testing.T) {
 	if res.Class.ExitCode() != 3 {
 		t.Fatalf("internal exit code %d, want 3", res.Class.ExitCode())
 	}
-	s := waitStats(t, p, "poisoned worker replaced", func(s Stats) bool {
-		return s.Poisoned == 1 && s.Workers == 1
+	s := waitStats(t, p, "poisoned Runner dropped", func(s Stats) bool {
+		return s.Poisoned == 1 && s.Idle == 1
 	})
 	if s.Restarts == 0 {
-		t.Fatalf("replacement not counted as restart: %+v", s)
+		t.Fatalf("poisoning not counted as restart: %+v", s)
 	}
-	// The replacement must serve correct results.
+	// The fresh Runner must serve correct results.
 	ok := p.Submit(&Job{Name: "ok.py", Src: "print(6 * 7)\n", Mode: runtime.CPython})
 	if ok.Class != ClassOK || ok.Output != "42\n" {
-		t.Fatalf("pool broken after poisoning: class %s output %q err %q",
+		t.Fatalf("broken after poisoning: class %s output %q err %q",
 			ok.Class, ok.Output, ok.Err)
 	}
-	if ok.Worker == res.Worker {
-		t.Fatalf("poisoned worker %d served another job", res.Worker)
+	if res.Worker < 0 || ok.Worker == res.Worker {
+		t.Fatalf("poisoned Runner %d served another job (%d)", res.Worker, ok.Worker)
 	}
 }
 
-// TestWedgeCondemnedAndReplaced: an injected WorkerWedge stalls a worker
-// past the watchdog; the submitter gets ClassWedged, the worker is
-// condemned, and a replacement restores capacity.
+// TestWedgeCondemnedAndReplaced: an injected WorkerWedge stalls a job
+// past the watchdog; the submitter gets ClassWedged, the slot is freed at
+// once, and the next job runs on a fresh Runner.
 func TestWedgeCondemnedAndReplaced(t *testing.T) {
 	fc := faults.Config{}
 	fc.EveryN[faults.WorkerWedge] = 3 // third job wedges
@@ -177,99 +172,38 @@ func TestWedgeCondemnedAndReplaced(t *testing.T) {
 	if res.Class != ClassWedged {
 		t.Fatalf("want ClassWedged, got %s (%q)", res.Class, res.Err)
 	}
-	waitStats(t, p, "wedged worker replaced", func(s Stats) bool {
-		return s.Wedged == 1 && s.Workers == 1 && s.Idle == 1
+	waitStats(t, p, "wedged slot freed", func(s Stats) bool {
+		return s.Wedged == 1 && s.Restarts == 1 && s.Idle == 1
 	})
 	if after := p.Submit(&Job{Name: "a.py", Src: src, Mode: runtime.CPython}); after.Class != ClassOK {
-		t.Fatalf("pool broken after wedge: class %s err %q", after.Class, after.Err)
+		t.Fatalf("broken after wedge: class %s err %q", after.Class, after.Err)
 	}
 }
 
-// TestSlotLeakRepairedByMaintenance: an injected PoolSlotLeak makes a
-// worker vanish without returning to the idle ring; the maintenance scan
-// reclaims the slot and a replacement serves the next job.
-func TestSlotLeakRepairedByMaintenance(t *testing.T) {
-	fc := faults.Config{}
-	fc.EveryN[faults.PoolSlotLeak] = 1 // every finished job leaks its slot
-	p := testPool(t, Config{Workers: 1, Faults: faults.New(fc),
-		DefaultLimits: interp.Limits{MaxSteps: 5_000_000, Deadline: 50 * time.Millisecond}})
-	first := p.Submit(&Job{Name: "a.py", Src: "print(1)\n", Mode: runtime.CPython})
-	if first.Class != ClassOK {
-		t.Fatalf("first job: class %s err %q", first.Class, first.Err)
-	}
-	waitStats(t, p, "leak detected and repaired", func(s Stats) bool {
-		return s.Leaked >= 1 && s.Workers == 1 && s.Idle == 1
-	})
-	second := p.Submit(&Job{Name: "b.py", Src: "print(2)\n", Mode: runtime.CPython})
-	if second.Class != ClassOK || second.Output != "2\n" {
-		t.Fatalf("second job after leak: class %s output %q err %q",
-			second.Class, second.Output, second.Err)
-	}
-	if second.Worker == first.Worker {
-		t.Fatalf("leaked worker %d served again", first.Worker)
-	}
-}
-
-// TestRestartBreakerOpens: with the restart budget exhausted, the pool
-// stops replacing workers and sheds instead of spinning.
-func TestRestartBreakerOpens(t *testing.T) {
-	fc := faults.Config{}
-	fc.EveryN[faults.WorkerWedge] = 1 // every job wedges its worker
-	p := testPool(t, Config{Workers: 1, Faults: faults.New(fc),
-		RestartBudget: 1, RestartWindow: time.Hour,
-		DefaultLimits: interp.Limits{MaxSteps: 5_000_000, Deadline: 30 * time.Millisecond}})
-	const src = "print(1)\n"
-	// First wedge burns the worker; the single budgeted restart replaces
-	// it. Second wedge burns the replacement; the breaker holds.
-	for i := 0; i < 2; i++ {
-		res := p.Submit(&Job{Name: "a.py", Src: src, Mode: runtime.CPython})
-		if res.Class != ClassWedged {
-			t.Fatalf("wedge %d: class %s err %q", i, res.Class, res.Err)
-		}
-		if i == 0 {
-			waitStats(t, p, "budgeted restart", func(s Stats) bool { return s.Workers == 1 })
-		}
-	}
-	waitStats(t, p, "breaker to open", func(s Stats) bool {
-		return s.BreakerOpen >= 1 && s.Workers == 0
-	})
-	res := p.Submit(&Job{Name: "a.py", Src: src, Mode: runtime.CPython})
-	if res.Class != ClassShed {
-		t.Fatalf("dead pool with open breaker: want ClassShed, got %s (%q)",
-			res.Class, res.Err)
-	}
-	if res.RetryAfter <= 0 {
-		t.Fatal("shed result missing RetryAfter hint")
-	}
-}
-
-// TestRecycleIsPlannedReplacement: the job-count recycle policy swaps
-// workers without counting against the restart budget or backoff.
+// TestRecycleIsPlannedReplacement: the job-count recycle policy retires
+// Runners without counting them as unplanned restarts, and a recycled
+// Runner never serves again.
 func TestRecycleIsPlannedReplacement(t *testing.T) {
-	p := testPool(t, Config{Workers: 1, RecycleAfter: 1, RestartBudget: 1,
-		RestartWindow: time.Hour})
+	p := testPool(t, Config{Workers: 1, RecycleAfter: 1})
 	var lastWorker = -1
 	for i := 0; i < 3; i++ {
 		res := p.Submit(&Job{Name: "a.py", Src: "print(7)\n", Mode: runtime.CPython})
 		if res.Class != ClassOK {
 			t.Fatalf("job %d: class %s err %q", i, res.Class, res.Err)
 		}
-		if res.Worker == lastWorker {
-			t.Fatalf("job %d ran on recycled worker %d", i, res.Worker)
+		if res.Worker < 0 || res.Worker == lastWorker {
+			t.Fatalf("job %d ran on recycled Runner %d", i, res.Worker)
 		}
 		lastWorker = res.Worker
-		waitStats(t, p, "recycle replacement", func(s Stats) bool { return s.Idle == 1 })
+		waitStats(t, p, "recycle", func(s Stats) bool { return s.Recycled == uint64(i+1) })
 	}
 	s := p.Stats()
-	if s.Recycled < 2 {
-		t.Fatalf("want >= 2 recycles, got %+v", s)
-	}
-	if s.Restarts != 0 || s.BreakerOpen != 0 {
-		t.Fatalf("planned recycles consumed the restart budget: %+v", s)
+	if s.Restarts != 0 {
+		t.Fatalf("planned recycles counted as restarts: %+v", s)
 	}
 }
 
-// TestAdmissionShedsAtQueueDepth: with the worker occupied and the queue
+// TestAdmissionShedsAtQueueDepth: with the slot occupied and the queue
 // full, further submissions are rejected with a retry hint.
 func TestAdmissionShedsAtQueueDepth(t *testing.T) {
 	p := testPool(t, Config{Workers: 1, QueueDepth: 1})
@@ -278,8 +212,8 @@ func TestAdmissionShedsAtQueueDepth(t *testing.T) {
 		Limits: interp.Limits{MaxSteps: 1 << 40, Deadline: 400 * time.Millisecond}}
 	done := make(chan *JobResult, 2)
 	go func() { done <- p.Submit(slow) }()
-	// Wait until the slow job occupies the worker, then fill the queue.
-	waitStats(t, p, "worker busy", func(s Stats) bool { return s.Idle == 0 && s.Workers == 1 })
+	// Wait until the slow job occupies the slot, then fill the queue.
+	waitStats(t, p, "slot busy", func(s Stats) bool { return s.Idle == 0 && s.Workers == 1 })
 	go func() { done <- p.Submit(slow) }()
 	waitStats(t, p, "queue full", func(s Stats) bool { return s.Queued == 1 })
 
@@ -324,7 +258,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 			Src:    "total = 0\nfor i in range(100000):\n    total = total + 1\nprint(total)\n",
 			Limits: interp.Limits{MaxSteps: 1 << 40, Deadline: 30 * time.Second}})
 	}()
-	waitStats(t, p, "worker busy", func(s Stats) bool { return s.Idle == 0 })
+	waitStats(t, p, "slot busy", func(s Stats) bool { return s.Idle == 0 })
 	if !p.Drain(60 * time.Second) {
 		t.Fatal("Drain timed out with one healthy in-flight job")
 	}
@@ -362,75 +296,105 @@ func TestClassRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSoakCleanPool: the chaos soak with no supervision faults armed is
-// a pure conformance run — zero violations, zero worker deaths.
-func TestSoakCleanPool(t *testing.T) {
-	res := Soak(SoakConfig{Seed: 1, Jobs: 60, Workers: 2})
-	if !res.Ok() {
-		t.Fatalf("clean soak violations: %v", res.Violations)
-	}
-	if res.Stats.Poisoned != 0 || res.Stats.Wedged != 0 || res.Stats.Leaked != 0 {
-		t.Fatalf("clean soak lost workers: %+v", res.Stats)
+// soakExclusive submits jobs generated programs, round-robin across the
+// runtime modes, to p and checks the supervision contract per job: every
+// result is a well-formed class, a shed carries a retry hint, and an
+// executed result matches a fresh unsupervised reference run (wall-clock
+// deadline trips excepted: they are timing noise, not contamination).
+func soakExclusive(t *testing.T, p *Sched, seed uint64, jobs int, lim interp.Limits) {
+	t.Helper()
+	for i := 0; i < jobs; i++ {
+		progSeed := seed + uint64(i%97)
+		mode := runtime.Mode(i % int(runtime.NumModes))
+		src := difftest.Generate(progSeed)
+		name := fmt.Sprintf("soak-%d.py", progSeed)
+		got := p.Submit(&Job{Name: name, Src: src, Mode: mode})
+		if got.Class >= NumClasses || (got.Class == ClassOK) != (got.Err == "") {
+			t.Fatalf("job %d: malformed result class %s err %q", i, got.Class, got.Err)
+		}
+		if got.Class == ClassShed || got.Class == ClassWedged {
+			if got.Class == ClassShed && got.RetryAfter <= 0 {
+				t.Fatalf("job %d: shed without RetryAfter hint", i)
+			}
+			continue
+		}
+		want := ReferenceRun(name, src, mode, lim)
+		if strings.Contains(got.Err, "deadline") || strings.Contains(want.Err, "deadline") {
+			continue
+		}
+		if got.Class != want.Class || got.Err != want.Err || got.Output != want.Output {
+			t.Fatalf("job %d (%s, %s): got %s %q %q, reference %s %q %q", i, name, mode,
+				got.Class, got.Err, clip(got.Output), want.Class, want.Err, clip(want.Output))
+		}
 	}
 }
 
-// TestSoakUnderSupervisionFaults is the pool-chaos oracle: injected
-// wedges and slot leaks may cost latency and workers, but never the
-// pool, never another job's output, never a malformed class.
+// soakLimits: the deterministic step budget decides outcomes; the
+// deadline is a backstop short enough that injected wedges resolve fast.
+var soakLimits = interp.Limits{
+	MaxSteps:     2_000_000,
+	MaxHeapBytes: 64 << 20,
+	Deadline:     200 * time.Millisecond,
+}
+
+// TestSoakCleanPool: the exclusive configuration with no supervision
+// faults armed is a pure conformance run — no Runner lost.
+func TestSoakCleanPool(t *testing.T) {
+	p := testPool(t, Config{Workers: 2, DefaultLimits: soakLimits})
+	soakExclusive(t, p, 1, 60, soakLimits)
+	if st := p.Stats(); st.Poisoned != 0 || st.Wedged != 0 || st.Restarts != 0 {
+		t.Fatalf("clean soak lost Runners: %+v", st)
+	}
+}
+
+// TestSoakUnderSupervisionFaults: injected wedges may cost latency and
+// Runners, but never the scheduler, never another job's output, never a
+// malformed class.
 func TestSoakUnderSupervisionFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
 	}
-	res := Soak(SoakConfig{
-		Seed:        7,
-		Jobs:        120,
-		Workers:     3,
-		WedgeEveryN: 40,
-		LeakEveryN:  25,
-		Limits: interp.Limits{
-			MaxSteps:     2_000_000,
-			MaxHeapBytes: 64 << 20,
-			Deadline:     200 * time.Millisecond,
-		},
-	})
-	if !res.Ok() {
-		t.Fatalf("soak violations: %v", res.Violations)
-	}
-	if res.Stats.Wedged == 0 && res.Stats.Leaked == 0 {
-		t.Fatalf("fault schedule never fired; soak proves nothing: %+v", res.Stats)
+	fc := faults.Config{Seed: 7}
+	fc.EveryN[faults.WorkerWedge] = 40
+	p := testPool(t, Config{Workers: 3, DefaultLimits: soakLimits, Faults: faults.New(fc)})
+	soakExclusive(t, p, 7, 120, soakLimits)
+	if st := p.Stats(); st.Wedged == 0 {
+		t.Fatalf("fault schedule never fired; soak proves nothing: %+v", st)
 	}
 }
 
-// TestCondemnWakesBlockedSubmitters: a Submit blocked waiting for an
-// idle worker must be woken when the last worker is condemned while
-// replacement is held back (long backoff), so it sheds promptly via the
-// "no live workers" path instead of hanging until the next spawn.
+// TestCondemnWakesBlockedSubmitters: a Submit queued behind a job that
+// wedges the only slot is served as soon as the wedge verdict lands —
+// the verdict frees the slot and its residency, and the next grant builds
+// a fresh Runner — not when the zombie finally returns.
 func TestCondemnWakesBlockedSubmitters(t *testing.T) {
 	fc := faults.Config{}
-	fc.EveryN[faults.WorkerWedge] = 1 // every job wedges its worker
-	p := testPool(t, Config{Workers: 1, Faults: faults.New(fc),
-		BackoffBase: 30 * time.Second, BackoffMax: 30 * time.Second,
-		DefaultLimits: interp.Limits{MaxSteps: 5_000_000, Deadline: 100 * time.Millisecond}})
+	fc.EveryN[faults.WorkerWedge] = 2 // the second job wedges
+	p := testPool(t, Config{Workers: 1, Faults: faults.New(fc), WedgeSlack: time.Second,
+		DefaultLimits: interp.Limits{MaxSteps: 5_000_000, Deadline: 50 * time.Millisecond}})
 	const src = "print(1)\n"
+	if res := p.Submit(&Job{Name: "warm.py", Src: src, Mode: runtime.CPython}); res.Class != ClassOK {
+		t.Fatalf("warm-up: %s %q", res.Class, res.Err)
+	}
 
 	first := make(chan *JobResult, 1)
 	go func() {
 		first <- p.Submit(&Job{Name: "a.py", Src: src, Mode: runtime.CPython})
 	}()
-	// Let the first job occupy (and wedge) the only worker, then block a
-	// second submitter in the idle-worker wait.
-	time.Sleep(30 * time.Millisecond)
+	waitStats(t, p, "wedging job granted", func(s Stats) bool {
+		return s.Submitted == 2 && s.Idle == 0 && s.Queued == 0
+	})
 	start := time.Now()
 	res := p.Submit(&Job{Name: "b.py", Src: src, Mode: runtime.CPython})
 	blocked := time.Since(start)
-	if res.Class != ClassShed {
-		t.Fatalf("blocked submitter: want ClassShed, got %s (%q)", res.Class, res.Err)
+	if res.Class != ClassOK || res.Output != "1\n" {
+		t.Fatalf("blocked submitter: class %s output %q err %q", res.Class, res.Output, res.Err)
 	}
-	// The wedge watchdog is 250ms (100ms*2 + 50ms slack); the backoff
-	// holds replacements for 30s. Prompt shedding means the condemnation
-	// itself woke us, not a later spawn.
-	if blocked > 2*time.Second {
-		t.Fatalf("blocked submitter shed after %v; not woken by condemnation", blocked)
+	// The watchdog is 1.1s (50ms*2 + 1s slack) and the zombie sleeps a
+	// further 1s past it. Prompt service means the verdict released the
+	// slot, not the zombie's return.
+	if blocked > 1600*time.Millisecond {
+		t.Fatalf("blocked submitter served after %v; the verdict did not release the slot", blocked)
 	}
 	if r := <-first; r.Class != ClassWedged {
 		t.Fatalf("wedged job: want ClassWedged, got %s (%q)", r.Class, r.Err)
@@ -438,23 +402,23 @@ func TestCondemnWakesBlockedSubmitters(t *testing.T) {
 }
 
 // TestShedAfterWaitRecordsQueueWait is the regression test for the
-// invisible-shed-wait bug: a job shed from *inside* the dispatch wait
-// loop (here: drain arrived while it was queued behind a busy worker)
-// must carry the wait it accumulated, and that wait must reach
+// invisible-shed-wait bug: a job shed after queueing (here: drain arrived
+// while it was queued behind a busy slot) must carry the wait it
+// accumulated, and that wait must reach
 // minipy_job_queue_wait_seconds{class="shed"} — otherwise backpressure
-// latency is invisible exactly when the pool is saturated.
+// latency is invisible exactly when the scheduler is saturated.
 func TestShedAfterWaitRecordsQueueWait(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
 	p := testPool(t, Config{Workers: 1, QueueDepth: 2, Metrics: m,
 		DefaultLimits: interp.Limits{
-			MaxSteps: 1 << 30, MaxHeapBytes: 64 << 20, Deadline: 2 * time.Second,
+			MaxSteps: 1 << 30, MaxHeapBytes: 64 << 20, Deadline: 30 * time.Second,
 		}})
 	slow := &Job{Name: "slow.py", Mode: runtime.CPython,
 		Src: "total = 0\nfor i in range(500000):\n    total = total + 1\nprint(total)\n"}
 	first := make(chan *JobResult, 1)
 	go func() { first <- p.Submit(slow) }()
-	waitStats(t, p, "worker busy", func(s Stats) bool { return s.Idle == 0 })
+	waitStats(t, p, "slot busy", func(s Stats) bool { return s.Idle == 0 })
 
 	queued := make(chan *JobResult, 1)
 	go func() { queued <- p.Submit(&Job{Name: "q.py", Src: "print(1)\n", Mode: runtime.CPython}) }()

@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,28 +12,33 @@ import (
 	"repro/internal/runtime"
 )
 
-// Sched is the continuous-batching scheduler: the step-sliced alternative
-// to Pool's exclusive worker ownership. Jobs are admitted into per-lane,
-// per-tenant queues and granted execution slots one step-quantum at a
-// time; at each quantum boundary the VM's governor calls back into the
-// scheduler (interp.VM.SetYield), which may park the job's goroutine —
-// Python frame stack and governor state stay live in the VM, no Go-stack
-// capture — and grant the slot to another job. An over-budget job is
-// preempted back to its queue, never condemned: preemption is a
-// scheduling decision, condemnation is a health verdict, and the two
-// paths never mix.
+// Sched is the serving backend: a continuous-batching scheduler. Jobs are
+// admitted into per-lane, per-tenant queues and granted execution slots
+// one step-quantum at a time; at each quantum boundary the VM's governor
+// calls back into the scheduler (interp.VM.SetYield), which may park the
+// job's goroutine — Python frame stack and governor state stay live in
+// the VM, no Go-stack capture — and grant the slot to another job. An
+// over-budget job is preempted back to its queue, never condemned:
+// preemption is a scheduling decision, condemnation is a health verdict,
+// and the two paths never mix.
+//
+// Exclusive execution is a configuration, not a second backend: NewPool
+// passes a quantum the governor saturates on (the job never yields) and
+// residency equal to the slot count.
 //
 // Invariants:
 //
 //   - at most Slots jobs are RUNNING at once; at most MaxResident jobs
-//     hold a live VM (started but unfinished), bounding memory however
-//     long the admission queue grows;
+//     hold a live VM (granted, until their Runner is reset or dropped),
+//     bounding memory however long the admission queue grows;
 //   - the uncontended path is wait-free: a yield with no waiters is one
 //     atomic load (the ≤2% single-job overhead gate in benchgate);
 //   - parked time is credited to the job's wall-clock deadline by the
 //     governor, so scheduling delay never trips a job's own budget;
 //   - scheduling emits no interpreter micro-events, so interleaving is
-//     invisible in the paper's Table-II attribution.
+//     invisible in the paper's Table-II attribution;
+//   - a poisoned or wedged Runner is dropped, never repaired or
+//     respawned: the next grant builds a fresh one.
 type Sched struct {
 	cfg SchedConfig
 
@@ -42,8 +48,8 @@ type Sched struct {
 	lanes []*laneState
 
 	running      int // jobs currently granted a slot
-	resident     int // jobs holding a live VM (started, unfinished)
-	inflight     int // admitted, unfinished jobs
+	resident     int // jobs holding a live VM (granted, slot not yet released)
+	inflight     int // admitted jobs whose reply is not yet decided
 	heapReserved uint64
 
 	// activeRunning is the wedge-scan set: granted jobs that should be
@@ -52,6 +58,8 @@ type Sched struct {
 
 	// free is the warm-Runner free list, per (mode, attributed).
 	free [runtime.NumModes][2][]*schedRunner
+	// runnerIDs numbers Runners as they are built (JobResult.Worker).
+	runnerIDs atomic.Int64
 
 	draining bool
 	closed   bool
@@ -69,8 +77,7 @@ type Sched struct {
 // SchedConfig parameterizes a Sched. Zero values take the documented
 // defaults.
 type SchedConfig struct {
-	// Slots is how many jobs execute concurrently (default 4) — the
-	// sliced analogue of Pool's Workers.
+	// Slots is how many jobs execute concurrently (default 4).
 	Slots int
 	// QuantumSteps is the preemption granularity: a running job reaches
 	// a yield point every this many bytecodes (default 50k, ~sub-ms).
@@ -92,7 +99,7 @@ type SchedConfig struct {
 	// RecycleAfter retires a Runner after this many jobs (default 256).
 	RecycleAfter int
 	// DefaultLimits fills any zero field of a job's Limits (Deadline
-	// defaults to 5s, like Pool: the wedge horizon derives from it).
+	// defaults to 5s: the wedge horizon derives from it).
 	DefaultLimits interp.Limits
 	// WedgeFactor and WedgeSlack derive the per-job wedge horizon: a
 	// granted job that neither yields nor finishes within
@@ -103,7 +110,8 @@ type SchedConfig struct {
 	// MaintInterval paces the wedge scan (default 25ms).
 	MaintInterval time.Duration
 	// Faults, when non-nil, injects scheduler-layer chaos (WorkerWedge
-	// stalls a job's first slice past the wedge horizon).
+	// stalls a job's first slice past the wedge horizon). Guarded by the
+	// scheduler mutex — the injector itself is not concurrency-safe.
 	Faults *faults.Injector
 	// VMFaults, when non-nil, builds a per-job VM-layer injector.
 	VMFaults func(job *Job) *faults.Injector
@@ -151,10 +159,8 @@ func (c *SchedConfig) setDefaults() {
 }
 
 // laneState is one strict-priority lane: per-tenant FIFO queues served
-// deficit-round-robin. Each ring visit tops a tenant's deficit up by one
-// quantum and serving a slice spends one quantum, so tenants in a lane
-// converge to equal step rates regardless of how many jobs each has
-// queued.
+// round-robin, one slice per tenant per ring visit, so a tenant with many
+// queued jobs gets no more turns than a tenant with one.
 type laneState struct {
 	tenants map[string]*tenantQ
 	ring    []*tenantQ // active (non-empty) tenants, round-robin order
@@ -162,15 +168,18 @@ type laneState struct {
 }
 
 type tenantQ struct {
-	name    string
-	deficit int64 // steps of credit, bounded by one quantum
-	jobs    []*schedJob
+	name string
+	jobs []*schedJob
 }
 
-// schedRunner wraps a warm Runner with its recycle counter.
+// schedRunner wraps a warm Runner with its id, its recycle counter, and
+// the hand-off to its executor goroutine, which stays parked on next
+// while the Runner waits on the free list.
 type schedRunner struct {
+	id   int
 	r    *runtime.Runner
 	jobs int
+	next chan *schedJob // buffered 1; closed by Close
 }
 
 // schedJob is the scheduler's per-job state.
@@ -184,7 +193,10 @@ type schedJob struct {
 	reply chan *JobResult // buffered 1; exactly one of finish/wedge/shed sends
 	grant chan struct{}   // buffered 1; signalled on each (re-)grant
 
-	started   bool
+	started bool
+	// sr is the job's Runner: popped from the free list at first grant,
+	// or built by the executor (and recorded under the mutex) when none
+	// was free. Only the executor writes it after the grant.
 	sr        *schedRunner
 	abandoned bool // wedge verdict delivered; discard the job on next contact
 	done      bool
@@ -228,12 +240,24 @@ func NewSched(cfg SchedConfig) *Sched {
 	return s
 }
 
+// effectiveLimits resolves a job's budgets against the defaults via the
+// canonical api.Limits.WithDefaults. The result always has a positive
+// Deadline when the default does: a non-positive per-job deadline falls
+// back to the default rather than poisoning the watchdog derivation.
 func (s *Sched) effectiveLimits(job *Job) interp.Limits {
 	return job.Limits.WithDefaults(s.cfg.DefaultLimits)
 }
 
-// jobWatchdog mirrors Pool.watchdog: saturating, never condemning on
-// overflow.
+// maxWatchdog caps the watchdog horizon when the multiply below would
+// overflow. A day-long watchdog is already "never" for a served job; the
+// point is that the cap is large and positive, not precise.
+const maxWatchdog = 24 * time.Hour
+
+// jobWatchdog is how long a granted job may go without a heartbeat
+// before it is declared wedged: a multiple of its own wall-clock budget
+// plus slack, so a healthy limit trip always beats it. The arithmetic
+// saturates: an enormous (but valid) deadline degrades to a distant
+// watchdog, never wraps negative and condemns the job on the spot.
 func (s *Sched) jobWatchdog(l interp.Limits) time.Duration {
 	d := l.Deadline
 	wd := d * time.Duration(s.cfg.WedgeFactor)
@@ -267,11 +291,13 @@ func (s *Sched) shedLocked(job *Job, why string) *JobResult {
 }
 
 // Submit runs one job to completion through the scheduler and always
-// returns a non-nil result. Safe for concurrent use; the calling
-// goroutine blocks until the job finishes, is shed, or is declared
-// wedged.
+// returns a non-nil result: the job's outcome, a ClassShed rejection, or
+// a ClassWedged verdict. Safe for concurrent use; the calling goroutine
+// blocks until the job finishes, is shed, or is declared wedged.
 func (s *Sched) Submit(job *Job) *JobResult {
 	res := s.submit(job)
+	// One funnel for the per-job telemetry, off the mutex: the
+	// instruments are atomic.
 	s.cfg.Metrics.observeJob(res)
 	return res
 }
@@ -287,6 +313,7 @@ func (s *Sched) submit(job *Job) *JobResult {
 		tenant:   job.Tenant,
 		reply:    make(chan *JobResult, 1),
 		grant:    make(chan struct{}, 1),
+		events:   make([]LifeEvent, 0, 4), // an unpreempted journey
 		submitAt: now,
 		watchdog: s.jobWatchdog(limits),
 	}
@@ -302,7 +329,9 @@ func (s *Sched) submit(job *Job) *JobResult {
 		res := s.shedLocked(job, "in-flight limit reached")
 		s.mu.Unlock()
 		return res
-	case s.reserveOverWatermark(j):
+	case j.reserve > s.cfg.HeapWatermark:
+		// This job could never start: shed it at admission rather than
+		// queue it forever. Jobs that merely don't fit right now wait.
 		res := s.shedLocked(job, "heap reservation watermark reached")
 		s.mu.Unlock()
 		return res
@@ -313,19 +342,7 @@ func (s *Sched) submit(job *Job) *JobResult {
 	s.grantLocked()
 	s.mu.Unlock()
 
-	res := <-j.reply
-	s.mu.Lock()
-	s.inflight--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return res
-}
-
-// reserveOverWatermark: a job whose reservation alone exceeds the
-// watermark could never be started — shed it at admission rather than
-// queue it forever. Jobs that merely don't fit *right now* wait.
-func (s *Sched) reserveOverWatermark(j *schedJob) bool {
-	return j.reserve > s.cfg.HeapWatermark
+	return <-j.reply
 }
 
 func clampLane(lane, lanes int) int {
@@ -348,8 +365,6 @@ func (s *Sched) enqueueLocked(j *schedJob) {
 		ls.tenants[j.tenant] = t
 	}
 	if len(t.jobs) == 0 {
-		// (Re)activating: forfeit credit hoarded while idle.
-		t.deficit = 0
 		ls.ring = append(ls.ring, t)
 	}
 	t.jobs = append(t.jobs, j)
@@ -357,9 +372,10 @@ func (s *Sched) enqueueLocked(j *schedJob) {
 }
 
 // grantLocked fills free slots from the queues: highest-priority
-// non-empty lane first, deficit-round-robin across that lane's tenants.
-// A started (parked) job is always grantable — it already holds its VM;
-// an unstarted job needs a resident slot and heap headroom.
+// non-empty lane first, round robin across that lane's tenants. A
+// started (parked) job is always grantable — it already holds its VM;
+// an unstarted job needs a resident slot and heap headroom, and takes a
+// warm Runner off the free list here, under the same lock.
 func (s *Sched) grantLocked() {
 	for s.running < s.cfg.Slots {
 		j := s.pickLocked()
@@ -376,7 +392,13 @@ func (s *Sched) grantLocked() {
 			s.resident++
 			s.heapReserved += j.reserve
 			j.firstGrant = now
-			go s.run(j)
+			if l := s.freeList(j.job); len(*l) > 0 {
+				j.sr = (*l)[len(*l)-1]
+				*l = (*l)[:len(*l)-1]
+				j.sr.next <- j
+			} else {
+				go s.run(j)
+			}
 			continue
 		}
 		j.grant <- struct{}{}
@@ -384,9 +406,8 @@ func (s *Sched) grantLocked() {
 }
 
 // pickLocked implements the two-level policy: strict priority across
-// lanes, deficit round robin across tenants within a lane. Each ring
-// visit tops the tenant's credit up by one quantum; granting a slice
-// spends one quantum. Returns nil when nothing grantable is queued.
+// lanes, round robin across a lane's tenants. Returns nil when nothing
+// grantable is queued.
 func (s *Sched) pickLocked() *schedJob {
 	for _, ls := range s.lanes {
 		for visits := 0; visits < len(ls.ring); visits++ {
@@ -394,9 +415,6 @@ func (s *Sched) pickLocked() *schedJob {
 				ls.cursor = 0
 			}
 			t := ls.ring[ls.cursor]
-			if t.deficit < int64(s.cfg.QuantumSteps) {
-				t.deficit += int64(s.cfg.QuantumSteps)
-			}
 			j := s.popGrantableLocked(t)
 			if j == nil {
 				// Nothing startable in this tenant right now (resident or
@@ -404,7 +422,6 @@ func (s *Sched) pickLocked() *schedJob {
 				ls.cursor++
 				continue
 			}
-			t.deficit -= int64(s.cfg.QuantumSteps)
 			if len(t.jobs) == 0 {
 				ls.ring = append(ls.ring[:ls.cursor], ls.ring[ls.cursor+1:]...)
 				delete(ls.tenants, t.name)
@@ -478,22 +495,28 @@ func (s *Sched) yield(j *schedJob) time.Duration {
 	return resumed.Sub(now)
 }
 
-// run is the job's executor goroutine, spawned at first grant. It owns
-// the job's Runner across preemptions (parking blocks right here, inside
-// the VM's dispatch loop) and sends exactly one reply unless a wedge
-// verdict beat it to it.
+// run is an executor goroutine, spawned by a grant that found no warm
+// Runner. It owns the job's Runner across preemptions (parking blocks
+// right here, inside the VM's dispatch loop) and sends exactly one reply
+// unless a wedge verdict beat it to it. It then stays with the Runner:
+// while the Runner waits on the free list the goroutine waits for the
+// next job granted to it, so a warm VM keeps a warm goroutine stack
+// instead of regrowing one through the interpreter's recursion per job.
 func (s *Sched) run(j *schedJob) {
-	// Injected scheduler fault: wedge — stall the first slice past the
-	// wedge horizon. The submitter gets a ClassWedged verdict from the
-	// scan; this goroutine finds itself abandoned when it wakes.
-	if s.fireFault(faults.WorkerWedge) {
-		time.Sleep(j.watchdog + s.cfg.WedgeSlack)
+	for j != nil {
+		// Injected scheduler fault: wedge — stall the first slice past
+		// the wedge horizon. The submitter gets a ClassWedged verdict
+		// from the scan; this goroutine finds itself abandoned when it
+		// wakes.
+		if s.fireFault(faults.WorkerWedge) {
+			time.Sleep(j.watchdog + s.cfg.WedgeSlack)
+		}
+		j = s.finish(j, s.execute(j))
 	}
-	res := s.execute(j)
-	s.finish(j, res)
 }
 
-// fireFault consults the scheduler-layer injector under the mutex.
+// fireFault consults the scheduler-layer injector under the mutex. The
+// nil guard keeps an unfaulted scheduler's per-job probe off the mutex.
 func (s *Sched) fireFault(k faults.Kind) bool {
 	if s.cfg.Faults == nil {
 		return false
@@ -505,15 +528,26 @@ func (s *Sched) fireFault(k faults.Kind) bool {
 
 // execute runs j on a warm Runner with the yield hook armed.
 func (s *Sched) execute(j *schedJob) *JobResult {
-	start := time.Now()
 	jr := &JobResult{Mode: j.job.Mode, Worker: -1}
-	sr, err := s.takeRunner(j.job.Mode, j.job.Breakdown)
-	if err != nil {
-		jr.Class = ClassError
-		jr.Err = err.Error()
-		return jr
+	code := j.job.Code
+	if code == nil {
+		var err error
+		if code, err = pycompile.CompileSource(j.job.Name, j.job.Src); err != nil {
+			jr.Class = ClassError
+			jr.Err = err.Error()
+			return jr
+		}
 	}
-	j.sr = sr
+	sr := j.sr
+	if sr == nil {
+		var err error
+		if sr, err = s.newRunner(j.job.Mode, j.job.Breakdown); err != nil {
+			jr.Class = ClassError
+			jr.Err = err.Error()
+			return jr
+		}
+	}
+	jr.Worker = sr.id
 	r := sr.r
 	r.SetLimits(j.limits)
 	if f := s.cfg.VMFaults; f != nil {
@@ -522,23 +556,14 @@ func (s *Sched) execute(j *schedJob) *JobResult {
 		r.SetFaults(nil)
 	}
 	r.SetYield(s.cfg.QuantumSteps, func() time.Duration { return s.yield(j) })
-	// Warm-start plumbing, mirroring worker.execute: arm the job's seed
-	// (nil disarms the previous job's) and the export opt-in.
+	// Warm-start plumbing: arm the job's portable IC seed (nil disarms —
+	// essential, or the previous job's seed would bind to this program)
+	// and the seed-export opt-in.
 	r.SetICSeed(j.job.ICSeed)
 	r.SetCollectICSeed(j.job.CollectICSeed)
 
-	code := j.job.Code
-	if code == nil {
-		code, err = pycompile.CompileSource(j.job.Name, j.job.Src)
-		if err != nil {
-			jr.Class = ClassError
-			jr.Err = err.Error()
-			jr.RunTime = time.Since(start)
-			return jr
-		}
-	}
-
 	s.mu.Lock()
+	j.sr = sr // the wedge verdict names it; finish disposes of it
 	j.note(s, LifeRunning, time.Now())
 	s.mu.Unlock()
 
@@ -566,10 +591,15 @@ func (s *Sched) execute(j *schedJob) *JobResult {
 	return jr
 }
 
-// finish closes out a job: release the slot, deliver the reply (unless a
-// wedge verdict already did), police the Runner's health off the reply
-// path, and hand the slot to the next job.
-func (s *Sched) finish(j *schedJob, res *JobResult) {
+// finish closes out a job: the reply is decided and sent first, then
+// the Runner is policed and reset off the reply path, and only then are
+// the slot, residency and heap reservation released — together with the
+// Runner's return to the free list, in the critical section that grants
+// the next job. A slot and its Runner come back as one, so the next
+// grant finds a warm Runner instead of building one while this one
+// resets. Returns the next job handed to this goroutine with its Runner,
+// or nil when the goroutine should exit.
+func (s *Sched) finish(j *schedJob, res *JobResult) *schedJob {
 	now := time.Now()
 	s.mu.Lock()
 	abandoned := j.abandoned
@@ -577,64 +607,81 @@ func (s *Sched) finish(j *schedJob, res *JobResult) {
 	if !abandoned {
 		j.note(s, LifeFinished, now)
 		delete(s.activeRunning, j)
-		s.running--
+		s.inflight--
 		s.stats.Completed++
+		s.cond.Broadcast()
 	}
-	// The VM is done either way: release residency and let the next
-	// unstarted job in.
-	s.resident--
-	s.heapReserved -= j.reserve
-	s.grantLocked()
-	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	if !abandoned {
-		res.Queued = j.firstGrant.Sub(j.submitAt)
-		res.RunTime = time.Duration(j.runNanos)
-		res.Preemptions = j.preemptions
-		res.Lifecycle = j.events
-		j.reply <- res
+	if abandoned {
+		// The verdict released everything and counted the Runner's
+		// retirement; the zombie's result and Runner are garbage.
+		return nil
 	}
+	res.Queued = j.firstGrant.Sub(j.submitAt)
+	res.RunTime = time.Duration(j.runNanos)
+	res.Preemptions = j.preemptions
+	res.Lifecycle = j.events
+	j.reply <- res
 
-	// Runner disposition, off every job's latency path. An abandoned
-	// job's Runner is untrusted by construction (it was wedged).
 	sr := j.sr
-	if sr == nil {
-		return
+	var poisoned, recycled, kept bool
+	if sr != nil {
+		poisoned, recycled = s.disposeRunner(sr, res)
 	}
-	sr.jobs++
+	s.mu.Lock()
+	s.running--
+	s.resident--
+	s.heapReserved -= j.reserve
 	switch {
-	case abandoned, res.Class == ClassInternal, res.health != "":
-		s.dropRunner(evPoisoned)
-		return
-	case res.Class != ClassOK:
-		if bad := canaryRunner(sr.r); bad != "" {
-			s.dropRunner(evPoisoned)
-			return
+	case sr == nil:
+	case poisoned:
+		s.stats.Poisoned++
+		s.stats.Restarts++
+		s.cfg.Metrics.event(evPoisoned)
+		s.cfg.Metrics.event(evRestart)
+	case recycled:
+		s.stats.Recycled++
+		s.cfg.Metrics.event(evRecycled)
+	default:
+		// Bounded by MaxResident: more warm VMs than can ever be resident
+		// is waste.
+		if l := s.freeList(j.job); !s.closed && len(*l) < s.cfg.MaxResident {
+			*l = append(*l, sr)
+			kept = true
 		}
 	}
-	if sr.jobs >= s.cfg.RecycleAfter {
-		s.dropRunner(evRecycled)
-		return
+	s.grantLocked()
+	s.mu.Unlock()
+	if !kept {
+		return nil
+	}
+	return <-sr.next
+}
+
+// disposeRunner polices a finished job's Runner. A poisoned Runner (an
+// internal error, a bad health probe, or a failed canary after an
+// errored run) and one due for recycling are retired — simply dropped;
+// any other is reset to pristine state for the next job.
+func (s *Sched) disposeRunner(sr *schedRunner, res *JobResult) (poisoned, recycled bool) {
+	sr.jobs++
+	switch {
+	case res.Class == ClassInternal, res.health != "":
+		return true, false
+	case res.Class != ClassOK && canaryRunner(sr.r) != "":
+		return true, false
+	case sr.jobs >= s.cfg.RecycleAfter:
+		return false, true
 	}
 	sr.r.SetYield(0, nil)
 	sr.r.SetFaults(nil)
 	sr.r.Reset()
-	s.putRunner(j.job.Mode, j.job.Breakdown, sr)
+	return false, false
 }
 
-// dropRunner records a Runner retirement (poison or recycle); the Runner
-// itself is simply garbage.
-func (s *Sched) dropRunner(ev int) {
-	s.mu.Lock()
-	if ev == evPoisoned {
-		s.stats.Poisoned++
-	} else {
-		s.stats.Recycled++
-	}
-	s.mu.Unlock()
-	s.cfg.Metrics.event(ev)
-}
+// canarySrc is the health probe run after a job errors: a Runner that
+// cannot produce "42" from pristine state is poisoned.
+const canarySrc = "print(6 * 7)\n"
 
 // canaryRunner reruns the canary program from pristine state on a Runner
 // whose last job errored (an aborted run yields no statistics to probe).
@@ -642,6 +689,8 @@ func canaryRunner(r *runtime.Runner) string {
 	r.SetYield(0, nil)
 	r.SetLimits(interp.Limits{MaxSteps: 100_000, Deadline: 5 * time.Second})
 	r.SetFaults(nil)
+	// The canary must run from truly pristine state: a seed armed by the
+	// errored job would bind to the canary's code tree.
 	r.SetICSeed(nil)
 	r.SetCollectICSeed(false)
 	res, err := r.Run("canary.py", canarySrc)
@@ -657,20 +706,42 @@ func canaryRunner(r *runtime.Runner) string {
 	return ""
 }
 
-// takeRunner pops a warm Runner from the free list or builds one.
-func (s *Sched) takeRunner(mode runtime.Mode, attributed bool) (*schedRunner, error) {
+// healthProbe audits a completed run's heap statistics: refcount balance
+// and free/allocation accounting. A Runner whose bookkeeping went bad is
+// poisoned even when the job's output looked fine.
+func healthProbe(res *runtime.Result) string {
+	h := res.Heap
+	if h.BadDecrefs != 0 {
+		return fmt.Sprintf("%d decrefs hit an object with RC <= 0", h.BadDecrefs)
+	}
+	if h.Decrefs > h.Increfs+h.Allocations {
+		return fmt.Sprintf("refcount imbalance: %d decrefs > %d increfs + %d allocations",
+			h.Decrefs, h.Increfs, h.Allocations)
+	}
+	if h.Frees > h.Allocations+h.PayloadAllocs {
+		return fmt.Sprintf("free accounting: %d frees > %d allocations + %d payload allocs",
+			h.Frees, h.Allocations, h.PayloadAllocs)
+	}
+	if h.MajorGCs > h.MinorGCs {
+		return fmt.Sprintf("gc accounting: %d major GCs > %d minor GCs", h.MajorGCs, h.MinorGCs)
+	}
+	return ""
+}
+
+// freeList is the warm-Runner free list for job's (mode, attributed)
+// pair. Callers hold s.mu.
+func (s *Sched) freeList(job *Job) *[]*schedRunner {
 	ai := 0
-	if attributed {
+	if job.Breakdown {
 		ai = 1
 	}
-	s.mu.Lock()
-	if l := s.free[mode][ai]; len(l) > 0 {
-		sr := l[len(l)-1]
-		s.free[mode][ai] = l[:len(l)-1]
-		s.mu.Unlock()
-		return sr, nil
-	}
-	s.mu.Unlock()
+	return &s.free[job.Mode][ai]
+}
+
+// newRunner builds a fresh Runner. Attributed jobs get the simple-core
+// pipeline (slower, but the result carries the paper's per-category
+// breakdown); everything else runs on the functional fast path.
+func (s *Sched) newRunner(mode runtime.Mode, attributed bool) (*schedRunner, error) {
 	cfg := runtime.ServingConfig(mode)
 	if attributed {
 		cfg = runtime.AttributedServingConfig(mode)
@@ -679,29 +750,15 @@ func (s *Sched) takeRunner(mode runtime.Mode, attributed bool) (*schedRunner, er
 	if err != nil {
 		return nil, err
 	}
-	return &schedRunner{r: r}, nil
-}
-
-// putRunner returns a reset Runner to the free list, bounded by
-// MaxResident (more warm VMs than can ever be resident is waste).
-func (s *Sched) putRunner(mode runtime.Mode, attributed bool, sr *schedRunner) {
-	ai := 0
-	if attributed {
-		ai = 1
-	}
-	s.mu.Lock()
-	if s.closed || len(s.free[mode][ai]) >= s.cfg.MaxResident {
-		s.mu.Unlock()
-		return
-	}
-	s.free[mode][ai] = append(s.free[mode][ai], sr)
-	s.mu.Unlock()
+	return &schedRunner{id: int(s.runnerIDs.Add(1) - 1), r: r, next: make(chan *schedJob, 1)}, nil
 }
 
 // maintain is the wedge scan: a granted job that has neither yielded nor
-// finished within its watchdog is declared wedged — the submitter gets
-// its verdict now, the slot is freed, and the zombie goroutine's
-// eventual result is discarded (its Runner dropped).
+// finished within its watchdog is declared wedged. The submitter gets
+// its verdict now, and everything the job held — slot, residency, heap
+// reservation — is released at once, so a VM that never returns cannot
+// starve the node. The Runner is retired with the job; the zombie's
+// eventual result is discarded.
 func (s *Sched) maintain() {
 	defer close(s.maintDone)
 	tick := time.NewTicker(s.cfg.MaintInterval)
@@ -729,20 +786,28 @@ func (s *Sched) maintain() {
 			j.abandoned = true
 			delete(s.activeRunning, j)
 			s.running--
+			s.resident--
+			s.inflight--
+			s.heapReserved -= j.reserve
 			s.stats.Wedged++
+			s.stats.Restarts++
 			s.cfg.Metrics.event(evWedged)
+			s.cfg.Metrics.event(evRestart)
 			j.note(s, LifeFinished, now)
-			res := &JobResult{
+			worker := -1
+			if j.sr != nil {
+				worker = j.sr.id
+			}
+			j.reply <- &JobResult{
 				Class:       ClassWedged,
 				Err:         "wedged: no yield within " + j.watchdog.String(),
 				Mode:        j.job.Mode,
-				Worker:      -1,
+				Worker:      worker,
 				Queued:      j.firstGrant.Sub(j.submitAt),
 				RunTime:     j.watchdog,
 				Preemptions: j.preemptions,
 				Lifecycle:   j.events,
 			}
-			j.reply <- res
 			s.grantLocked()
 			s.cond.Broadcast()
 		}
@@ -762,6 +827,7 @@ func (s *Sched) drainFlushLocked(why string) {
 					continue
 				}
 				s.waiting.Add(-1)
+				s.inflight--
 				res := s.shedLocked(j.job, why)
 				res.Queued = time.Since(j.submitAt)
 				j.reply <- res
@@ -811,7 +877,8 @@ func (s *Sched) Drain(timeout time.Duration) bool {
 
 // Close tears the scheduler down: sheds queued unstarted jobs, releases
 // every parked job to run to completion (their submitters still get
-// replies), and stops the wedge scan. Idempotent.
+// replies), ends the executors idling with warm Runners, and stops the
+// wedge scan. Idempotent.
 func (s *Sched) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -837,15 +904,23 @@ func (s *Sched) Close() {
 		ls.ring = nil
 		ls.cursor = 0
 	}
+	// Release the executors parked with warm Runners.
+	for m := range s.free {
+		for a := range s.free[m] {
+			for _, sr := range s.free[m][a] {
+				close(sr.next)
+			}
+			s.free[m][a] = nil
+		}
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	close(s.maintStop)
 	<-s.maintDone
 }
 
-// Stats returns a snapshot in Pool's Stats shape, so the serving layer's
-// healthz/readyz logic works unchanged: Workers is the slot count, Idle
-// the free slots, Queued the jobs waiting for a grant.
+// Stats returns a snapshot: Workers is the slot count, Idle the free
+// slots, Queued the jobs waiting for a grant.
 func (s *Sched) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

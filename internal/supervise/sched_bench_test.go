@@ -12,11 +12,12 @@ import (
 // TestSchedOverheadGuard is the performance regression gate for the
 // step-sliced scheduler's single-job path: with no contention (one job
 // at a time, zero waiters), the yield fast path must reduce to one
-// heartbeat store and one atomic load, so a job on the scheduler costs
-// at most the p50 overhead the shared benchgate table allows versus the
-// same job on the exclusive pool. Best-of-N attempts with interleaved
-// legs keep scheduler noise from flaking the gate; a negative overhead
-// trivially passes.
+// heartbeat store and one atomic load, so a job sliced at the default
+// quantum costs at most the p50 overhead the shared benchgate table
+// allows versus the same job in the exclusive configuration (which never
+// reaches a yield point). Best-of-N attempts with interleaved legs keep
+// scheduler noise from flaking the gate; a negative overhead trivially
+// passes.
 func TestSchedOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
@@ -53,7 +54,7 @@ func TestSchedOverheadGuard(t *testing.T) {
 		return lats[len(lats)/2]
 	}
 
-	submit(pool, 5) // warm both backends' runners
+	submit(pool, 5) // warm both schedulers' runners
 	submit(sched, 5)
 
 	const (

@@ -8,9 +8,9 @@ package supervise
 // class, and (for clean runs) the net reference-count balance
 // (Increfs + Allocations - Decrefs). Two granularities are covered:
 // runner-level (a single Runner with a forced-parking yield hook vs the
-// same Runner without) and sched-level (the step-sliced Sched vs the
-// exclusive Pool, end to end, with preemption churn from concurrent
-// load). Deadline trips are the one excluded class: they are
+// same Runner without) and sched-level (a step-sliced Sched vs the
+// exclusive configuration, end to end, with preemption churn from
+// concurrent load). Deadline trips are the one excluded class: they are
 // timing-dependent by definition, so the deterministic limit programs
 // below pin the step-budget, recursion, and output-limit classes
 // instead.
@@ -214,12 +214,12 @@ func TestSlicedEquivLimitClasses(t *testing.T) {
 	}
 }
 
-// TestSchedPoolEquivCorpus is the end-to-end leg: every corpus program
-// through the exclusive Pool and through a step-sliced Sched (small
-// quantum, fewer slots than jobs, so grants interleave and preemption
-// actually happens), all four runtime modes. Output, class, exception,
-// and bytecode counts must be identical.
-func TestSchedPoolEquivCorpus(t *testing.T) {
+// TestSlicedEquivExclusiveCorpus is the end-to-end leg: every corpus
+// program through the exclusive configuration (NewPool) and through a
+// step-sliced Sched (small quantum, fewer slots than jobs, so grants
+// interleave and preemption actually happens), all four runtime modes.
+// Output, class, exception, and bytecode counts must be identical.
+func TestSlicedEquivExclusiveCorpus(t *testing.T) {
 	corpus, err := difftest.LoadCorpus("../difftest/corpus")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestSchedPoolEquivCorpus(t *testing.T) {
 		name string
 		mode runtime.Mode
 	}
-	poolRes := map[key]*JobResult{}
+	exclusiveRes := map[key]*JobResult{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for name, src := range corpus {
@@ -251,7 +251,10 @@ func TestSchedPoolEquivCorpus(t *testing.T) {
 			// Exclusive reference leg first (serial keeps it simple);
 			// the sliced legs below run concurrently to force preemption.
 			res := pool.Submit(&Job{Name: name, Src: src, Mode: mode})
-			poolRes[key{name, mode}] = res
+			if res.Preemptions != 0 {
+				t.Errorf("%s/%v: exclusive leg preempted %d times", name, mode, res.Preemptions)
+			}
+			exclusiveRes[key{name, mode}] = res
 		}
 	}
 	for name, src := range corpus {
@@ -263,17 +266,17 @@ func TestSchedPoolEquivCorpus(t *testing.T) {
 				res := sched.Submit(&Job{Name: name, Src: src, Mode: mode})
 				mu.Lock()
 				defer mu.Unlock()
-				want := poolRes[key{name, mode}]
+				want := exclusiveRes[key{name, mode}]
 				if res.Class != want.Class || res.Err != want.Err {
-					t.Errorf("%s/%v: sched (%v, %q) vs pool (%v, %q)",
+					t.Errorf("%s/%v: sliced (%v, %q) vs exclusive (%v, %q)",
 						name, mode, res.Class, res.Err, want.Class, want.Err)
 				}
 				if res.Output != want.Output {
-					t.Errorf("%s/%v: sched output diverged from pool\n--- pool ---\n%s--- sched ---\n%s",
+					t.Errorf("%s/%v: sliced output diverged from exclusive\n--- exclusive ---\n%s--- sliced ---\n%s",
 						name, mode, want.Output, res.Output)
 				}
 				if res.Bytecodes != want.Bytecodes {
-					t.Errorf("%s/%v: sched ran %d bytecodes, pool %d",
+					t.Errorf("%s/%v: sliced ran %d bytecodes, exclusive %d",
 						name, mode, res.Bytecodes, want.Bytecodes)
 				}
 			}()

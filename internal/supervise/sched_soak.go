@@ -15,10 +15,9 @@ import (
 // SchedSoakConfig parameterizes the scheduler-chaos soak: a mixed
 // long/short workload submitted concurrently to a step-sliced Sched at
 // a small quantum (so preemption fires constantly), each executed
-// result diffed against a fresh, unsupervised reference Runner. This is
-// the interleaving analogue of the pool soak: where the pool soak
-// proves supervision faults don't cross-contaminate jobs, this proves
-// arbitrary park/resume interleavings don't either.
+// result diffed against a fresh, unsupervised reference Runner. It
+// proves that neither injected wedges nor arbitrary park/resume
+// interleavings cross-contaminate jobs.
 type SchedSoakConfig struct {
 	Seed uint64
 	Jobs int
@@ -32,8 +31,8 @@ type SchedSoakConfig struct {
 	// WedgeEveryN arms the supervision-fault injector: every Nth
 	// granted job stalls past the wedge horizon (0 disables).
 	WedgeEveryN uint64
-	// Limits are the per-job budgets; the zero value takes the pool
-	// soak's defaults (deterministic step budget decides outcomes).
+	// Limits are the per-job budgets; the zero value takes soak defaults
+	// (the deterministic step budget decides outcomes).
 	Limits interp.Limits
 	// Metrics, when non-nil, instruments the soak scheduler.
 	Metrics *Metrics

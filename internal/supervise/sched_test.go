@@ -237,8 +237,8 @@ func TestSchedPriorityLanes(t *testing.T) {
 }
 
 // TestSchedTenantFairness: a tenant flooding the scheduler with long
-// jobs must not starve a light tenant — deficit round robin gives the
-// light tenant's short job a slice every round, so it finishes well
+// jobs must not starve a light tenant — round robin gives the light
+// tenant's short job a slice every round, so it finishes well
 // before the flood drains.
 func TestSchedTenantFairness(t *testing.T) {
 	s := NewSched(SchedConfig{
@@ -422,6 +422,91 @@ func TestSchedWedgeVerdict(t *testing.T) {
 	}
 	if st := s.Stats(); st.Wedged != 1 {
 		t.Fatalf("stats.Wedged = %d", st.Wedged)
+	}
+}
+
+// TestWedgeVerdictReleasesResidency: the wedge verdict releases the
+// job's residency and heap reservation at once, not when the zombie VM
+// returns. With MaxResident == Slots a VM that never returns would
+// otherwise hold the node's only resident slot forever.
+func TestWedgeVerdictReleasesResidency(t *testing.T) {
+	fc := faults.Config{}
+	fc.EveryN[faults.WorkerWedge] = 1
+	s := NewSched(SchedConfig{
+		Slots:        1,
+		MaxResident:  1,
+		QuantumSteps: 2_000,
+		DefaultLimits: interp.Limits{
+			MaxSteps: 5_000_000, MaxHeapBytes: 64 << 20, Deadline: 20 * time.Millisecond,
+		},
+		// Watchdog 2*20ms + 500ms; the zombie sleeps a further 500ms.
+		WedgeSlack:    500 * time.Millisecond,
+		MaintInterval: 5 * time.Millisecond,
+		Faults:        faults.New(fc),
+	})
+	defer s.Close()
+
+	res := s.Submit(&Job{Name: "wedge.py", Src: "print(1)\n", Mode: runtime.CPython})
+	if res.Class != ClassWedged {
+		t.Fatalf("want wedged, got %s %q", res.Class, res.Err)
+	}
+	if st := s.Stats(); st.Resident != 0 || st.HeapReserved != 0 || st.Idle != 1 {
+		t.Fatalf("wedge verdict kept the zombie's residency: %+v", st)
+	}
+}
+
+// TestSchedStampsRunnerID: every executed result names the Runner that
+// ran it, and a poisoned Runner never serves again.
+func TestSchedStampsRunnerID(t *testing.T) {
+	s := NewSched(SchedConfig{Slots: 1, DefaultLimits: schedTestLimits()})
+	defer s.Close()
+	ok := s.Submit(&Job{Name: "ok.py", Src: "print(1)\n", Mode: runtime.CPython})
+	if ok.Class != ClassOK || ok.Worker < 0 {
+		t.Fatalf("clean job: class %s worker %d", ok.Class, ok.Worker)
+	}
+	bad := s.Submit(&Job{Name: "bad.py", Code: badCode(), Mode: runtime.CPython})
+	if bad.Class != ClassInternal || bad.Worker < 0 {
+		t.Fatalf("poisoning job: class %s worker %d", bad.Class, bad.Worker)
+	}
+	for i := 0; i < 3; i++ {
+		res := s.Submit(&Job{Name: "after.py", Src: "print(2)\n", Mode: runtime.CPython})
+		if res.Class != ClassOK || res.Worker < 0 || res.Worker == bad.Worker {
+			t.Fatalf("job %d after poisoning: class %s on Runner %d (poisoned %d)",
+				i, res.Class, res.Worker, bad.Worker)
+		}
+	}
+}
+
+// TestExclusiveNeverPreempts: in the exclusive configuration a job keeps
+// its slot from grant to finish, however many jobs wait behind it.
+func TestExclusiveNeverPreempts(t *testing.T) {
+	p := testPool(t, Config{Workers: 1, DefaultLimits: schedTestLimits()})
+	const n = 300_000
+	results := make(chan *JobResult, 3)
+	submit := func() {
+		results <- p.Submit(&Job{Name: "long.py", Src: loopSrc(n), Mode: runtime.CPython})
+	}
+	go submit()
+	waitStats(t, p, "first job granted", func(s Stats) bool { return s.Idle == 0 })
+	go submit()
+	go submit()
+	waitStats(t, p, "two waiters", func(s Stats) bool { return s.Queued == 2 })
+	for i := 0; i < 3; i++ {
+		res := <-results
+		if res.Class != ClassOK || res.Output != loopSum(n) {
+			t.Fatalf("job: class %s output %q err %q", res.Class, res.Output, res.Err)
+		}
+		if res.Preemptions != 0 {
+			t.Fatalf("exclusive job preempted %d times", res.Preemptions)
+		}
+		for _, ev := range res.Lifecycle {
+			if ev.State == LifePreempted {
+				t.Fatalf("exclusive job lifecycle %v", res.Lifecycle)
+			}
+		}
+	}
+	if st := p.Stats(); st.Preempted != 0 {
+		t.Fatalf("exclusive configuration preempted: %+v", st)
 	}
 }
 

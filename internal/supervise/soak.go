@@ -1,39 +1,11 @@
 package supervise
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
-	"repro/internal/difftest"
-	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/runtime"
 )
 
-// SoakConfig parameterizes a pool-chaos soak: Jobs generated programs
-// (difftest.Generate) submitted across all runtime modes to a pool under
-// injected supervision faults, each result checked against a reference
-// run on a fresh, unsupervised Runner.
-type SoakConfig struct {
-	Seed uint64
-	Jobs int
-	// WedgeEveryN / LeakEveryN arm the supervision-fault injector: a
-	// WorkerWedge every Nth wedge site, a PoolSlotLeak every Nth leak
-	// site (0 disables that fault).
-	WedgeEveryN uint64
-	LeakEveryN  uint64
-	// Workers overrides the pool size (default 4).
-	Workers int
-	// Limits are the per-job budgets; the zero value takes tight soak
-	// defaults (100ms deadline so injected wedges resolve quickly).
-	Limits interp.Limits
-	// Metrics, when non-nil, instruments the soak pool (so a soak can
-	// double as a telemetry smoke: scrape after the jobs drain).
-	Metrics *Metrics
-}
-
-// SoakResult is the soak verdict: the pool's closing statistics and
+// SoakResult is a soak verdict: the scheduler's closing statistics and
 // every oracle violation found.
 type SoakResult struct {
 	Jobs       int
@@ -44,123 +16,9 @@ type SoakResult struct {
 // Ok reports whether the soak finished without an oracle violation.
 func (r *SoakResult) Ok() bool { return len(r.Violations) == 0 }
 
-// Soak runs the pool-chaos soak. The supervisor's contract, asserted per
-// job: a supervision fault never takes the pool down (every Submit
-// returns, the pool ends with live workers), never cross-contaminates
-// output (a ClassOK result matches a fresh reference run bit-for-bit,
-// and an errored result never carries another job's output), and always
-// surfaces as a well-formed class with a coherent error rendering.
-func Soak(cfg SoakConfig) *SoakResult {
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 500
-	}
-	if cfg.Limits == (interp.Limits{}) {
-		// The outcome-deciding budget is the deterministic step count;
-		// the deadline is a generous backstop (its trips are
-		// timing-dependent, so the oracle treats them as noise).
-		cfg.Limits = interp.Limits{
-			MaxSteps:     2_000_000,
-			MaxHeapBytes: 64 << 20,
-			Deadline:     500 * time.Millisecond,
-		}
-	}
-	var inj *faults.Injector
-	if cfg.WedgeEveryN != 0 || cfg.LeakEveryN != 0 {
-		fc := faults.Config{Seed: cfg.Seed}
-		fc.EveryN[faults.WorkerWedge] = cfg.WedgeEveryN
-		fc.EveryN[faults.PoolSlotLeak] = cfg.LeakEveryN
-		inj = faults.New(fc)
-	}
-	pool := NewPool(Config{
-		Workers:       cfg.Workers,
-		DefaultLimits: cfg.Limits,
-		Faults:        inj,
-		Metrics:       cfg.Metrics,
-		// Tight replacement pacing: soaks condemn workers constantly
-		// and must not starve waiting on production backoff.
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    50 * time.Millisecond,
-		RestartBudget: 1 << 30,
-		WedgeSlack:    50 * time.Millisecond,
-	})
-	defer pool.Close()
-
-	res := &SoakResult{Jobs: cfg.Jobs}
-	// Reference outcomes per (program, mode), computed lazily on fresh
-	// unsupervised Runners and cached — programs repeat across jobs.
-	type refKey struct {
-		seed uint64
-		mode runtime.Mode
-	}
-	refs := make(map[refKey]*JobResult)
-
-	for i := 0; i < cfg.Jobs; i++ {
-		progSeed := cfg.Seed + uint64(i%97)
-		mode := runtime.Mode(i % int(runtime.NumModes))
-		src := difftest.Generate(progSeed)
-		name := fmt.Sprintf("soak-%d.py", progSeed)
-
-		got := pool.Submit(&Job{Name: name, Src: src, Mode: mode})
-		if got == nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("job %d: Submit returned nil", i))
-			continue
-		}
-		if got.Class >= NumClasses {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("job %d: malformed class %d", i, got.Class))
-			continue
-		}
-		if (got.Class == ClassOK) != (got.Err == "") {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("job %d: class %s with err %q", i, got.Class, got.Err))
-			continue
-		}
-		if got.Class == ClassShed || got.Class == ClassWedged {
-			// Well-formed supervision outcomes; nothing to diff.
-			if got.Class == ClassShed && got.RetryAfter <= 0 {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("job %d: shed without RetryAfter hint", i))
-			}
-			continue
-		}
-
-		key := refKey{progSeed, mode}
-		want, ok := refs[key]
-		if !ok {
-			want = ReferenceRun(name, src, mode, cfg.Limits)
-			refs[key] = want
-		}
-		if got.Class != want.Class || got.Err != want.Err {
-			if strings.Contains(got.Err, "deadline") || strings.Contains(want.Err, "deadline") {
-				// A wall-clock deadline trip is timing-dependent, not a
-				// supervision defect: the step budget is the
-				// deterministic outcome-decider.
-				continue
-			}
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("job %d (%s, %s): pool outcome %s %q, reference %s %q",
-					i, name, mode, got.Class, got.Err, want.Class, want.Err))
-			continue
-		}
-		if got.Output != want.Output {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("job %d (%s, %s): output contamination: pool %q, reference %q",
-					i, name, mode, clip(got.Output), clip(want.Output)))
-		}
-	}
-
-	res.Stats = pool.Stats()
-	if res.Stats.Workers == 0 {
-		res.Violations = append(res.Violations,
-			"pool finished the soak with zero live workers")
-	}
-	return res
-}
-
 // ReferenceRun executes one job on a fresh single-use Runner, outside
-// the pool, with the same limits — the contamination-free baseline the
-// pool-chaos and router-chaos soaks diff served results against.
+// the scheduler, with the same limits — the contamination-free baseline
+// the scheduler-chaos and router-chaos soaks diff served results against.
 func ReferenceRun(name, src string, mode runtime.Mode, lim interp.Limits) *JobResult {
 	rc := runtime.ServingConfig(mode)
 	rc.Limits = lim
