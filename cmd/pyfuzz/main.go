@@ -179,10 +179,8 @@ func run() int {
 		for _, v := range res.Violations {
 			fmt.Printf("violation: %s\n", v)
 		}
-		if reg != nil {
-			if err := reg.WritePrometheus(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "pyfuzz: metrics exposition: %v\n", err)
-			}
+		if err := reg.WritePrometheus(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "pyfuzz: metrics exposition: %v\n", err)
 		}
 		if !res.Ok() {
 			return 1

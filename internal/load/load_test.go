@@ -57,7 +57,7 @@ func TestRunAgainstRealBackend(t *testing.T) {
 		DefaultLimits: testLimits,
 	})
 	defer pool.Close()
-	ts := httptest.NewServer(serve.New(pool, reg, time.Second, nil).Mux())
+	ts := httptest.NewServer(serve.NewWithOptions(pool, reg, serve.Options{DrainTimeout: time.Second}).Mux())
 	defer ts.Close()
 
 	rep, err := Run(Config{
@@ -150,7 +150,7 @@ func TestRunByRefAgainstRealBackend(t *testing.T) {
 		DefaultLimits: testLimits,
 	})
 	defer pool.Close()
-	ts := httptest.NewServer(serve.New(pool, reg, time.Second, nil).Mux())
+	ts := httptest.NewServer(serve.NewWithOptions(pool, reg, serve.Options{DrainTimeout: time.Second}).Mux())
 	defer ts.Close()
 
 	// ByRef registers the corpus first and ships only programRefs; the

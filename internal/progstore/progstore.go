@@ -152,9 +152,6 @@ func New(opts Options) *Store {
 // Instrument registers the store's counters with reg under the
 // minipy_progstore_* namespace.
 func (s *Store) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	counter := func(name, help string, field func(Stats) uint64) {
 		reg.CounterFunc(name, help, func() uint64 { return field(s.StatsSnapshot()) })
 	}

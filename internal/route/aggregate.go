@@ -136,9 +136,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if rt.metrics != nil && rt.metrics.reg != nil {
-		_ = rt.metrics.reg.WritePrometheus(w)
-	}
+	_ = rt.metrics.reg.WritePrometheus(w)
 	agg.write(w)
 	_, _ = io.WriteString(w, "# pyroute: aggregated "+strconv.Itoa(agg.scraped)+
 		" backends, "+strconv.Itoa(agg.failed)+" unreachable\n")

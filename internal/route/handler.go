@@ -121,7 +121,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	res := rt.forward(r.Context(), key, body, id, req.IdempotencyKey != "", req.ProgramRef)
-	rt.metrics.request(res.outcome)
+	rt.metrics.requests.Inc(res.outcome)
 	rt.logRequest(id, res, time.Since(start))
 
 	w.Header().Set(api.HeaderRequestID, id)
@@ -236,7 +236,7 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 				}
 			}
 			if !rt.spendRetryToken() {
-				rt.metrics.retryBudgetDry()
+				rt.metrics.retryBudgetExhausted.Inc()
 				return routeResult{
 					status: http.StatusServiceUnavailable, body: resp.body,
 					retryAfter: resp.retryAfter, backend: b.url,
@@ -245,7 +245,7 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 			}
 			// A shed is a load signal, not a death: re-route to the next
 			// ring candidate immediately, no backoff.
-			rt.metrics.retry()
+			rt.metrics.retries.Inc()
 			ci++
 
 		case safe: // connect-level failure: the job never reached a worker
@@ -253,27 +253,27 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 				return rt.routerReject(http.StatusServiceUnavailable, outNoBackends,
 					api.CodeNoBackends,
 					fmt.Sprintf("backend %s unreachable after %d attempts: %v", b.url, attempts, err),
-					rt.cfg.BackoffMax)
+					backoffMax)
 			}
 			if !rt.spendRetryToken() {
-				rt.metrics.retryBudgetDry()
+				rt.metrics.retryBudgetExhausted.Inc()
 				return rt.routerReject(http.StatusServiceUnavailable, outRetryBudget,
 					api.CodeRetryBudget,
-					"retry budget exhausted: "+err.Error(), rt.cfg.BackoffMax)
+					"retry budget exhausted: "+err.Error(), backoffMax)
 			}
-			rt.metrics.retry()
+			rt.metrics.retries.Inc()
 			if single || len(cands) == 1 {
 				// Same node again: back off (exponential, jittered,
 				// bounded) so a restarting replica gets air.
 				back := rt.jitter(rt.backoffFor(attempts, lastShed))
-				if slept+back > rt.cfg.MaxRetryWait {
+				if slept+back > maxRetryWait {
 					return rt.routerReject(http.StatusServiceUnavailable, outNoBackends,
-						api.CodeNoBackends, "backend unreachable: "+err.Error(), rt.cfg.BackoffMax)
+						api.CodeNoBackends, "backend unreachable: "+err.Error(), backoffMax)
 				}
 				slept += back
 				if !sleepCtx(ctx, back) {
 					return rt.routerReject(http.StatusServiceUnavailable, outNoBackends,
-						api.CodeNoBackends, "canceled while backing off", rt.cfg.BackoffMax)
+						api.CodeNoBackends, "canceled while backing off", backoffMax)
 				}
 			} else {
 				ci++ // different node, immediately
@@ -299,17 +299,17 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 					0)
 			}
 			if !rt.spendRetryToken() {
-				rt.metrics.retryBudgetDry()
+				rt.metrics.retryBudgetExhausted.Inc()
 				return rt.routerReject(http.StatusBadGateway, outRetryBudget,
 					api.CodeRetryBudget,
 					"mid-flight failure, retry budget exhausted: "+err.Error(), 0)
 			}
-			rt.metrics.retry()
-			rt.metrics.idemReplay()
+			rt.metrics.retries.Inc()
+			rt.metrics.idemReplays.Inc()
 			// Give the wounded path a breath, bounded by the request's
 			// total sleep budget.
 			back := rt.jitter(rt.cfg.BackoffBase)
-			if slept+back > rt.cfg.MaxRetryWait || !sleepCtx(ctx, back) {
+			if slept+back > maxRetryWait || !sleepCtx(ctx, back) {
 				return rt.routerReject(http.StatusBadGateway, outUpstream,
 					api.CodeUpstreamError, "mid-flight failure: "+err.Error(), 0)
 			}
@@ -323,7 +323,7 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 	}
 	// Attempts exhausted on sheds.
 	res := rt.routerReject(http.StatusServiceUnavailable, outShed,
-		api.CodeNoBackends, "every candidate shed the job", rt.cfg.BackoffMax)
+		api.CodeNoBackends, "every candidate shed the job", backoffMax)
 	if lastShed != nil {
 		res.body = lastShed.body
 		res.retryAfter = lastShed.retryAfter
@@ -337,8 +337,8 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, id strin
 // the backend's Retry-After hint when one was given.
 func (rt *Router) backoffFor(n int, shed *upstreamResp) time.Duration {
 	back := rt.cfg.BackoffBase << uint(n-1)
-	if back > rt.cfg.BackoffMax || back <= 0 {
-		back = rt.cfg.BackoffMax
+	if back > backoffMax || back <= 0 {
+		back = backoffMax
 	}
 	if shed != nil && shed.retryAfter != "" {
 		if hint, ok := parseRetryAfter(shed.retryAfter, time.Now()); ok && hint > back {
@@ -392,7 +392,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // backend's integrity gate rejected damaged request bytes before
 // parsing), so re-routing cannot double-execute it.
 func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, attemptID, digest string) (*upstreamResp, error, bool) {
-	rt.metrics.backendRequest(b.slot)
+	rt.metrics.backendRequests.Inc(b.slot)
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/run", bytes.NewReader(body))
@@ -407,10 +407,10 @@ func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, attemptI
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		safe := dialFailure(err)
-		rt.metrics.backendFailure(b.slot)
+		rt.metrics.backendFailures.Inc(b.slot)
 		if safe {
 			if b.recordFailure(rt.cfg.FailThreshold, time.Now()) {
-				rt.metrics.eject(b.slot)
+				rt.metrics.ejections.Inc(b.slot)
 				st, fails := b.currentState()
 				rt.logEvent("backend ejected", b.url, st, fails)
 			}
@@ -421,15 +421,15 @@ func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, attemptI
 	rb, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
 	if err != nil {
 		// The response started and died: the job may have executed.
-		rt.metrics.backendFailure(b.slot)
+		rt.metrics.backendFailures.Inc(b.slot)
 		return nil, err, false
 	}
 	lat := time.Since(start)
 	// Any complete HTTP exchange — a shed included — proves the backend
 	// alive; clear its failure streak and feed the hedge histogram.
 	b.recordSuccess()
-	rt.lat.observe(lat)
-	rt.metrics.observeUpstream(b.slot, lat)
+	rt.lat.Observe(lat)
+	rt.metrics.upstreamLatency.Observe(b.slot, lat)
 
 	// Response-integrity gate: the backend stamps X-Pyserve-Digest on
 	// every /v1/run response. A mismatch means the bytes were damaged
@@ -440,13 +440,13 @@ func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, attemptI
 	// pass the bytes to the client.
 	if want := resp.Header.Get(api.HeaderResultDigest); want != "" {
 		if api.Digest(rb) != want {
-			rt.metrics.integrityFailure()
-			rt.metrics.backendFailure(b.slot)
+			rt.metrics.integrityFailures.Inc()
+			rt.metrics.backendFailures.Inc(b.slot)
 			return nil, fmt.Errorf("response from %s failed integrity check", b.url), false
 		}
 	} else if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		rt.metrics.integrityFailure()
-		rt.metrics.backendFailure(b.slot)
+		rt.metrics.integrityFailures.Inc()
+		rt.metrics.backendFailures.Inc(b.slot)
 		return nil, fmt.Errorf("2xx response from %s missing %s", b.url, api.HeaderResultDigest), false
 	}
 
@@ -456,7 +456,7 @@ func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, attemptI
 	if resp.StatusCode == http.StatusUnprocessableEntity {
 		var env api.ErrorEnvelope
 		if json.Unmarshal(rb, &env) == nil && env.Err.Code == api.CodeIntegrity {
-			rt.metrics.integrityFailure()
+			rt.metrics.integrityFailures.Inc()
 			return nil, fmt.Errorf("request damaged in transit to %s (backend integrity reject)", b.url), true
 		}
 	}
@@ -514,7 +514,7 @@ func (rt *Router) hedgedAttempt(parent context.Context, primary, alt *backend, b
 	}
 
 	// Primary is slow: launch the hedge.
-	rt.metrics.hedge()
+	rt.metrics.hedges.Inc()
 	ch2 := make(chan res, 1)
 	go func() {
 		r, err, safe := rt.attempt(ctx2, alt, body, id+".h2", digest)
@@ -532,14 +532,14 @@ func (rt *Router) hedgedAttempt(parent context.Context, primary, alt *backend, b
 		}
 		r2 := <-ch2
 		if acceptable(r2) {
-			rt.metrics.hedgeWin()
+			rt.metrics.hedgeWins.Inc()
 			return r2.resp, r2.err, r2.safe, true
 		}
 		return r1.resp, r1.err, r1.safe, false
 	case r2 := <-ch2:
 		if acceptable(r2) {
 			cancel1()
-			rt.metrics.hedgeWin()
+			rt.metrics.hedgeWins.Inc()
 			return r2.resp, r2.err, r2.safe, true
 		}
 		r1 := <-ch1

@@ -44,8 +44,8 @@ func (s backendState) String() string { return stateNames[s] }
 // health state, failure streak, and flap-breaker history persist.
 type backend struct {
 	url string // base URL, e.g. http://127.0.0.1:9001
-	// slot is the backend's stable index into the growable per-backend
-	// metric families (-1 when the router runs unobserved). Unlike a
+	// slot is the backend's stable index into the per-backend metric
+	// families (-1 when the router runs unobserved). Unlike a
 	// fleet index it never changes or collides across reconfigurations.
 	slot int
 
@@ -208,7 +208,7 @@ func (rt *Router) probe(b *backend) {
 		if len(b.readmits) >= rt.cfg.ReadmitBudget {
 			b.ejectedAt = now // re-arm the cooldown; check again next window
 			b.mu.Unlock()
-			rt.metrics.breakerHeld(b.slot)
+			rt.metrics.breakerHolds.Inc(b.slot)
 			return
 		}
 		b.state = stHalfOpen
@@ -242,7 +242,7 @@ func (rt *Router) probe(b *backend) {
 			if b.consecFails >= rt.cfg.FailThreshold {
 				b.state = stEjected
 				b.ejectedAt = now
-				rt.metrics.eject(b.slot)
+				rt.metrics.ejections.Inc(b.slot)
 				event = "backend ejected"
 			}
 		}
@@ -251,7 +251,7 @@ func (rt *Router) probe(b *backend) {
 			b.state = stHealthy
 			b.consecFails = 0
 			b.readmits = append(b.readmits, now)
-			rt.metrics.readmit(b.slot)
+			rt.metrics.readmits.Inc(b.slot)
 			event = "backend readmitted"
 		} else {
 			b.state = stEjected

@@ -1,14 +1,12 @@
 package route
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Metrics mirrors router activity into a telemetry registry under the
-// pyroute_ prefix. All record methods are safe on a nil receiver, so an
-// unwired router pays one predictable branch per event.
+// pyroute_ prefix. New replaces a nil Config.Metrics with a zero
+// &Metrics{}: its nil instruments and nil registry are inert, so the
+// unobserved router records through the same call sites and pays one
+// predictable branch per event.
 type Metrics struct {
 	reg *telemetry.Registry
 
@@ -32,15 +30,15 @@ type Metrics struct {
 	// idempotency key instead of surfacing as upstream_error.
 	idemReplays *telemetry.Counter
 
-	// Per-backend families, labelled by backend URL. Growable: the fleet
-	// is hot-reloadable, so new backends mint new series at runtime
+	// Per-backend families, labelled by backend URL. The fleet is
+	// hot-reloadable, so new backends mint new series at runtime
 	// (slotFor) instead of fixing the label set at registration.
-	backendRequests *telemetry.GrowableCounterVec
-	backendFailures *telemetry.GrowableCounterVec
-	ejections       *telemetry.GrowableCounterVec
-	readmits        *telemetry.GrowableCounterVec
-	breakerHolds    *telemetry.GrowableCounterVec
-	upstreamLatency *telemetry.GrowableHistogramVec
+	backendRequests *telemetry.CounterVec
+	backendFailures *telemetry.CounterVec
+	ejections       *telemetry.CounterVec
+	readmits        *telemetry.CounterVec
+	breakerHolds    *telemetry.CounterVec
+	upstreamLatency *telemetry.HistogramVec
 }
 
 // NewMetrics registers the router's metric families on reg. The backend
@@ -67,28 +65,25 @@ func NewMetrics(reg *telemetry.Registry, backends []string) *Metrics {
 			"Backend responses failing the X-Pyserve-Digest integrity check."),
 		idemReplays: reg.Counter("pyroute_idempotent_replays_total",
 			"Mid-flight failures replayed under an idempotency key."),
-		backendRequests: reg.GrowableCounterVec("pyroute_backend_requests_total",
+		backendRequests: reg.CounterVec("pyroute_backend_requests_total",
 			"Attempts forwarded per backend.", "backend", backends),
-		backendFailures: reg.GrowableCounterVec("pyroute_backend_failures_total",
+		backendFailures: reg.CounterVec("pyroute_backend_failures_total",
 			"Transport-level attempt failures per backend.", "backend", backends),
-		ejections: reg.GrowableCounterVec("pyroute_backend_ejections_total",
+		ejections: reg.CounterVec("pyroute_backend_ejections_total",
 			"Health ejections per backend.", "backend", backends),
-		readmits: reg.GrowableCounterVec("pyroute_backend_readmits_total",
+		readmits: reg.CounterVec("pyroute_backend_readmits_total",
 			"Half-open readmissions per backend.", "backend", backends),
-		breakerHolds: reg.GrowableCounterVec("pyroute_backend_breaker_holds_total",
+		breakerHolds: reg.CounterVec("pyroute_backend_breaker_holds_total",
 			"Readmissions refused by the flap breaker per backend.", "backend", backends),
-		upstreamLatency: reg.GrowableHistogramVec("pyroute_upstream_seconds",
+		upstreamLatency: reg.HistogramVec("pyroute_upstream_seconds",
 			"Upstream attempt latency per backend.", "backend", backends),
 	}
 }
 
 // slotFor resolves url's slot across every per-backend family, growing
-// them in lockstep so one slot number indexes them all. -1 on a nil
+// them in lockstep so one slot number indexes them all. -1 on the zero
 // Metrics (the unobserved router).
 func (m *Metrics) slotFor(url string) int {
-	if m == nil {
-		return -1
-	}
 	m.backendFailures.Slot(url)
 	m.ejections.Slot(url)
 	m.readmits.Slot(url)
@@ -97,111 +92,10 @@ func (m *Metrics) slotFor(url string) int {
 	return m.backendRequests.Slot(url)
 }
 
-func (m *Metrics) request(outcome int) {
-	if m == nil {
-		return
-	}
-	m.requests.Inc(outcome)
-}
-
-func (m *Metrics) retry() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
-func (m *Metrics) retryBudgetDry() {
-	if m == nil {
-		return
-	}
-	m.retryBudgetExhausted.Inc()
-}
-
-func (m *Metrics) hedge() {
-	if m == nil {
-		return
-	}
-	m.hedges.Inc()
-}
-
-func (m *Metrics) hedgeWin() {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
-}
-
-func (m *Metrics) reconfig() {
-	if m == nil {
-		return
-	}
-	m.reconfigs.Inc()
-}
-
-func (m *Metrics) integrityFailure() {
-	if m == nil {
-		return
-	}
-	m.integrityFailures.Inc()
-}
-
-func (m *Metrics) idemReplay() {
-	if m == nil {
-		return
-	}
-	m.idemReplays.Inc()
-}
-
-func (m *Metrics) backendRequest(idx int) {
-	if m == nil {
-		return
-	}
-	m.backendRequests.Inc(idx)
-}
-
-func (m *Metrics) backendFailure(idx int) {
-	if m == nil {
-		return
-	}
-	m.backendFailures.Inc(idx)
-}
-
-func (m *Metrics) eject(idx int) {
-	if m == nil {
-		return
-	}
-	m.ejections.Inc(idx)
-}
-
-func (m *Metrics) readmit(idx int) {
-	if m == nil {
-		return
-	}
-	m.readmits.Inc(idx)
-}
-
-func (m *Metrics) breakerHeld(idx int) {
-	if m == nil {
-		return
-	}
-	m.breakerHolds.Inc(idx)
-}
-
-func (m *Metrics) observeUpstream(idx int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.upstreamLatency.Observe(idx, d)
-}
-
 // registerGauges wires the router's live state into scrape-time gauges.
-// Called once from New when a Metrics is configured.
+// Called once from New; a no-op on the zero Metrics' nil registry.
 func (rt *Router) registerGauges() {
 	reg := rt.metrics.reg
-	if reg == nil {
-		return
-	}
 	// The fleet is hot-reloadable, so the series set is computed fresh at
 	// every scrape from the current fleet snapshot.
 	reg.DynamicGaugeFunc("pyroute_backend_up",

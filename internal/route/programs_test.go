@@ -56,7 +56,7 @@ func countingBackend(t *testing.T) (*httptest.Server, *atomic.Int64) {
 		Metrics:       supervise.NewMetrics(reg),
 		DefaultLimits: testLimits,
 	})
-	mux := serve.New(pool, reg, time.Second, nil).Mux()
+	mux := serve.NewWithOptions(pool, reg, serve.Options{DrainTimeout: time.Second}).Mux()
 	var runs atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/run" {

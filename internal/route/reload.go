@@ -60,7 +60,7 @@ func (rt *Router) Reconfigure(urls []string) (added, removed []string, err error
 			continue
 		}
 		added = append(added, u)
-		next.backends = append(next.backends, &backend{url: u, slot: rt.slotFor(u)})
+		next.backends = append(next.backends, &backend{url: u, slot: rt.metrics.slotFor(u)})
 	}
 	for u, b := range byURL {
 		removed = append(removed, u)
@@ -70,7 +70,7 @@ func (rt *Router) Reconfigure(urls []string) (added, removed []string, err error
 	sort.Strings(removed) // map order; the API reply should be stable
 
 	rt.fleet.Store(next)
-	rt.metrics.reconfig()
+	rt.metrics.reconfigs.Inc()
 	rt.logEvent("fleet reconfigured",
 		fmt.Sprintf("%d backends (+%d -%d)", len(urls), len(added), len(removed)),
 		stHealthy, 0)

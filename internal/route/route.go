@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/sfcache"
+	"repro/internal/telemetry"
 )
 
 // Config parameterizes a Router. Zero values take the documented
@@ -84,14 +85,11 @@ type Config struct {
 	// bucket is capped at RetryBudgetBurst (default 50).
 	RetryBudgetRatio float64
 	RetryBudgetBurst float64
-	// BackoffBase/BackoffMax pace same-request retries when no
-	// alternative backend is immediately available (defaults 25ms/1s);
-	// a backend Retry-After hint floors the wait. MaxRetryWait bounds
-	// the total sleeping one request may do (default 2s) — a hint
-	// beyond it fails the request fast instead of parking the client.
-	BackoffBase  time.Duration
-	BackoffMax   time.Duration
-	MaxRetryWait time.Duration
+	// BackoffBase paces same-request retries when no alternative
+	// backend is immediately available (default 25ms), doubling per
+	// attempt up to backoffMax; a backend Retry-After hint floors the
+	// wait.
+	BackoffBase time.Duration
 
 	// Hedge enables tail-latency hedging: if the primary attempt is
 	// still in flight after the observed HedgeQuantile upstream latency
@@ -106,12 +104,20 @@ type Config struct {
 	// Seed drives the retry-jitter PRNG (0 picks a fixed default).
 	Seed uint64
 	// Metrics, when non-nil, mirrors router activity into telemetry
-	// (see NewMetrics). Nil runs unobserved at zero cost.
+	// (see NewMetrics). Nil runs unobserved on a zero Metrics.
 	Metrics *Metrics
 	// Logw receives one structured JSON line per request and per
 	// health-state transition (nil disables).
 	Logw io.Writer
 }
+
+// backoffMax caps one same-request retry backoff; maxRetryWait bounds
+// the total sleeping one request may do — a Retry-After hint beyond it
+// fails the request fast instead of parking the client.
+const (
+	backoffMax   = time.Second
+	maxRetryWait = 2 * time.Second
+)
 
 func (c *Config) setDefaults() {
 	if c.UpstreamTimeout <= 0 {
@@ -152,12 +158,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.MaxRetryWait <= 0 {
-		c.MaxRetryWait = 2 * time.Second
 	}
 	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
 		c.HedgeQuantile = 0.95
@@ -204,8 +204,10 @@ type Router struct {
 	// ratio*1000; each retry spends 1000.
 	retryTokens atomic.Int64
 
-	// lat tracks upstream attempt latency for the hedge delay.
-	lat latencyTracker
+	// lat is upstream attempt latency, the hedge delay's source. Private:
+	// the exposed per-backend pyroute_upstream_seconds gets the same
+	// samples.
+	lat telemetry.Histogram
 
 	// rng drives retry jitter (xorshift64 under rngMu; jitter is off
 	// the happy path).
@@ -235,6 +237,9 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errNoBackendsConfigured
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
+	}
 	rt := &Router{
 		cfg: cfg,
 		client: &http.Client{
@@ -261,13 +266,11 @@ func New(cfg Config) (*Router, error) {
 	}
 	f := &fleet{ring: buildRing(cfg.Backends)}
 	for _, u := range cfg.Backends {
-		f.backends = append(f.backends, &backend{url: u, slot: rt.slotFor(u)})
+		f.backends = append(f.backends, &backend{url: u, slot: rt.metrics.slotFor(u)})
 	}
 	rt.fleet.Store(f)
 	rt.retryTokens.Store(int64(cfg.RetryBudgetBurst * 1000))
-	if rt.metrics != nil {
-		rt.registerGauges()
-	}
+	rt.registerGauges()
 	go rt.probeLoop()
 	return rt, nil
 }
@@ -328,10 +331,6 @@ func (rt *Router) routableCount() int {
 	return n
 }
 
-// slotFor resolves a backend URL's stable metrics slot (see
-// Metrics.slotFor); -1 when unobserved.
-func (rt *Router) slotFor(url string) int { return rt.metrics.slotFor(url) }
-
 // earnRetryToken credits the bucket for one incoming request.
 func (rt *Router) earnRetryToken() {
 	cap := int64(rt.cfg.RetryBudgetBurst * 1000)
@@ -369,52 +368,13 @@ func (rt *Router) jitter(d time.Duration) time.Duration {
 }
 
 // hedgeDelay derives the hedge trigger from observed upstream latency:
-// the configured quantile, floored by HedgeMinDelay (which also covers
-// the cold start before enough samples exist).
+// the lower edge of the configured quantile's bucket, floored by
+// HedgeMinDelay (which also covers the cold start before enough samples
+// exist).
 func (rt *Router) hedgeDelay() time.Duration {
-	d := rt.lat.quantile(rt.cfg.HedgeQuantile)
+	d := rt.lat.Snapshot().Quantile(rt.cfg.HedgeQuantile)
 	if d < rt.cfg.HedgeMinDelay {
 		d = rt.cfg.HedgeMinDelay
 	}
 	return d
-}
-
-// latencyTracker is a tiny lock-free log2-bucketed duration histogram,
-// just enough to answer quantile queries for the hedge delay without
-// pulling the full telemetry registry onto the request path.
-type latencyTracker struct {
-	buckets [40]atomic.Uint64 // bucket i covers (2^(i-1), 2^i] microseconds
-}
-
-func (l *latencyTracker) observe(d time.Duration) {
-	us := uint64(d / time.Microsecond)
-	i := 0
-	for us > 1 && i < len(l.buckets)-1 {
-		us >>= 1
-		i++
-	}
-	l.buckets[i].Add(1)
-}
-
-// quantile returns an upper bound for the q-quantile of observed
-// latencies (zero when empty).
-func (l *latencyTracker) quantile(q float64) time.Duration {
-	var counts [40]uint64
-	var total uint64
-	for i := range l.buckets {
-		counts[i] = l.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(float64(total) * q)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum > target {
-			return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(uint64(1)<<uint(len(counts)-1)) * time.Microsecond
 }

@@ -38,7 +38,7 @@ func newServeBackend(t *testing.T, workers int) (*supervise.Sched, *httptest.Ser
 		Metrics:       supervise.NewMetrics(reg),
 		DefaultLimits: testLimits,
 	})
-	ts := httptest.NewServer(serve.New(pool, reg, time.Second, nil).Mux())
+	ts := httptest.NewServer(serve.NewWithOptions(pool, reg, serve.Options{DrainTimeout: time.Second}).Mux())
 	t.Cleanup(func() { ts.Close(); pool.Close() })
 	return pool, ts
 }

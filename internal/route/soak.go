@@ -155,7 +155,7 @@ func newChaosBackend(workers int) (*chaosBackend, error) {
 		Metrics:       supervise.NewMetrics(reg),
 		DefaultLimits: soakLimits,
 	})
-	srv := serve.New(pool, reg, time.Second, nil)
+	srv := serve.NewWithOptions(pool, reg, serve.Options{DrainTimeout: time.Second})
 	cb := &chaosBackend{pool: pool, api: srv}
 	inner := srv.Mux()
 	cb.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -113,13 +113,8 @@ type Options struct {
 	ProgCap int
 }
 
-// New builds a Server over a backend. reg backs /metrics, drainTimeout bounds
-// /drainz, logw (nil to disable) receives per-job structured log lines.
-func New(pool Backend, reg *telemetry.Registry, drainTimeout time.Duration, logw io.Writer) *Server {
-	return NewWithOptions(pool, reg, Options{DrainTimeout: drainTimeout, LogW: logw})
-}
-
-// NewWithOptions builds a Server over a backend with explicit Options.
+// NewWithOptions builds a Server over a backend. reg backs /metrics; a nil
+// reg serves an empty exposition.
 func NewWithOptions(pool Backend, reg *telemetry.Registry, opts Options) *Server {
 	if opts.DedupTTL <= 0 {
 		opts.DedupTTL = defaultDedupTTL
@@ -137,11 +132,9 @@ func NewWithOptions(pool Backend, reg *telemetry.Registry, opts Options) *Server
 		limits:       sfcache.New[api.Limits, api.Limits](limitsMemoTTL, limitsMemoCap, nil),
 	}
 	s.progs.Instrument(reg)
-	if reg != nil {
-		s.instrumentDedup(reg)
-		s.mIntegrityRejects = reg.Counter("pyserve_integrity_rejects_total",
-			"Requests rejected for an X-Content-Digest mismatch.")
-	}
+	s.instrumentDedup(reg)
+	s.mIntegrityRejects = reg.Counter("pyserve_integrity_rejects_total",
+		"Requests rejected for an X-Content-Digest mismatch.")
 	return s
 }
 

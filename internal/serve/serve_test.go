@@ -65,7 +65,7 @@ func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.S
 			MaxOutputBytes: 1 << 20,
 		},
 	})
-	ts := httptest.NewServer(New(pool, reg, 10*time.Second, logw).Mux())
+	ts := httptest.NewServer(NewWithOptions(pool, reg, Options{DrainTimeout: 10 * time.Second, LogW: logw}).Mux())
 	t.Cleanup(func() {
 		ts.Close()
 		pool.Close()
@@ -301,7 +301,7 @@ func TestDrainzTimeoutRetryAfter(t *testing.T) {
 			Deadline: 2 * time.Second,
 		},
 	})
-	ts := httptest.NewServer(New(pool, reg, 50*time.Millisecond, io.Discard).Mux())
+	ts := httptest.NewServer(NewWithOptions(pool, reg, Options{DrainTimeout: 50 * time.Millisecond, LogW: io.Discard}).Mux())
 	t.Cleanup(func() {
 		ts.Close()
 		pool.Close()
@@ -463,6 +463,33 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("POST /metrics status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestMetricsWithoutRegistry: a server built without a registry still
+// runs jobs and answers GET /v1/metrics with an empty exposition — the
+// nil registry is inert like every nil instrument.
+func TestMetricsWithoutRegistry(t *testing.T) {
+	pool := supervise.NewPool(supervise.Config{Workers: 1})
+	ts := httptest.NewServer(NewWithOptions(pool, nil, Options{}).Mux())
+	t.Cleanup(func() {
+		ts.Close()
+		pool.Close()
+	})
+	if status, out := postRun(t, ts, runRequest{Src: "print(1)\n"}); status != 200 || out.ExitClass != "ok" {
+		t.Fatalf("run: %d %s", status, out.ExitClass)
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatalf("GET /v1/metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) != 0 {
+		t.Fatalf("status %d, body %q; want 200 and an empty exposition", resp.StatusCode, body)
 	}
 }
 
@@ -811,7 +838,7 @@ func TestSchedBackendOverHTTP(t *testing.T) {
 			MaxOutputBytes: 1 << 20,
 		},
 	})
-	ts := httptest.NewServer(New(sched, reg, 10*time.Second, io.Discard).Mux())
+	ts := httptest.NewServer(NewWithOptions(sched, reg, Options{DrainTimeout: 10 * time.Second, LogW: io.Discard}).Mux())
 	t.Cleanup(func() {
 		ts.Close()
 		sched.Close()

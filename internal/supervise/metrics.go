@@ -22,9 +22,10 @@ var eventNames = [numEvents]string{"shed", "wedged", "poisoned", "recycled", "re
 
 // Metrics is the scheduler's telemetry instrumentation: per-class job
 // counters and latency histograms, supervision event counters, and the
-// live overhead-attribution accumulator. A nil *Metrics disables
-// everything (every record helper is nil-safe), so an unwired scheduler
-// pays one branch per record site.
+// live overhead-attribution accumulator. NewSched replaces a nil
+// SchedConfig.Metrics with a zero &Metrics{}: its nil instruments and nil
+// registry are inert, so an unwired scheduler records through the same
+// call sites and pays one branch per instrument.
 //
 // Construction registers every family on the registry; NewSched
 // additionally registers the point-in-time occupancy gauges, which need
@@ -143,33 +144,19 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // being entered, and the dwell time in the state being left (prev ==
 // NumLifeStates on the first transition, which has no predecessor).
 // Called under the scheduler mutex; the instruments are atomic and
-// allocation-free. Safe on a nil receiver.
+// allocation-free.
 func (m *Metrics) lifeTransition(entered, prev LifeState, dwell time.Duration) {
-	if m == nil {
-		return
-	}
 	m.schedTransitions.Inc(int(entered))
 	if prev < NumLifeStates {
 		m.schedStateTime.Observe(int(prev), dwell)
 	}
 }
 
-// event records one supervision event. Safe on a nil receiver.
-func (m *Metrics) event(e int) {
-	if m == nil {
-		return
-	}
-	m.events.Inc(e)
-}
-
 // observeJob records a finished Submit: the class-keyed job counter, the
 // latency split, inline-cache traffic and (for breakdown jobs) the live
 // attribution. Called off the scheduler mutex (all instruments are
-// atomic). Safe on a nil receiver.
+// atomic).
 func (m *Metrics) observeJob(res *JobResult) {
-	if m == nil || res == nil {
-		return
-	}
 	c := int(res.Class)
 	m.jobs.Inc(c)
 	m.queueWait.Observe(c, res.Queued)
@@ -179,11 +166,8 @@ func (m *Metrics) observeJob(res *JobResult) {
 }
 
 // observeIC folds one job's inline-cache counters into the site-kind
-// totals. Safe on a nil receiver.
+// totals.
 func (m *Metrics) observeIC(res *JobResult) {
-	if m == nil || res == nil {
-		return
-	}
 	ic := res.IC
 	addPair := func(site int, hits, misses uint64) {
 		if hits != 0 {
@@ -209,9 +193,9 @@ func (m *Metrics) observeIC(res *JobResult) {
 }
 
 // observeBreakdown accumulates one job's attribution into the live
-// per-category counters. Safe on a nil receiver.
+// per-category counters; a job without a breakdown adds nothing.
 func (m *Metrics) observeBreakdown(bd *core.Breakdown) {
-	if m == nil || bd == nil {
+	if bd == nil {
 		return
 	}
 	for c := core.Category(0); c < core.NumCategories; c++ {

@@ -101,21 +101,18 @@ type SchedConfig struct {
 	// DefaultLimits fills any zero field of a job's Limits (Deadline
 	// defaults to 5s: the wedge horizon derives from it).
 	DefaultLimits interp.Limits
-	// WedgeFactor and WedgeSlack derive the per-job wedge horizon: a
-	// granted job that neither yields nor finishes within
-	// deadline*WedgeFactor + WedgeSlack is declared wedged (defaults 2
-	// and 250ms).
-	WedgeFactor int
-	WedgeSlack  time.Duration
+	// WedgeSlack pads the per-job wedge horizon: a granted job that
+	// neither yields nor finishes within deadline*wedgeFactor +
+	// WedgeSlack is declared wedged (default 250ms).
+	WedgeSlack time.Duration
 	// MaintInterval paces the wedge scan (default 25ms).
 	MaintInterval time.Duration
 	// Faults, when non-nil, injects scheduler-layer chaos (WorkerWedge
 	// stalls a job's first slice past the wedge horizon). Guarded by the
 	// scheduler mutex — the injector itself is not concurrency-safe.
 	Faults *faults.Injector
-	// VMFaults, when non-nil, builds a per-job VM-layer injector.
-	VMFaults func(job *Job) *faults.Injector
 	// Metrics, when non-nil, mirrors scheduler activity into telemetry.
+	// Nil runs unobserved on a zero Metrics.
 	Metrics *Metrics
 }
 
@@ -146,9 +143,6 @@ func (c *SchedConfig) setDefaults() {
 	}
 	if c.DefaultLimits.Deadline == 0 {
 		c.DefaultLimits.Deadline = 5 * time.Second
-	}
-	if c.WedgeFactor <= 0 {
-		c.WedgeFactor = 2
 	}
 	if c.WedgeSlack <= 0 {
 		c.WedgeSlack = 250 * time.Millisecond
@@ -233,9 +227,10 @@ func NewSched(cfg SchedConfig) *Sched {
 		s.lanes[i] = &laneState{tenants: make(map[string]*tenantQ)}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.Metrics != nil {
-		s.registerSchedGauges(cfg.Metrics)
+	if s.cfg.Metrics == nil {
+		s.cfg.Metrics = &Metrics{}
 	}
+	s.registerSchedGauges(s.cfg.Metrics)
 	go s.maintain()
 	return s
 }
@@ -247,6 +242,9 @@ func NewSched(cfg SchedConfig) *Sched {
 func (s *Sched) effectiveLimits(job *Job) interp.Limits {
 	return job.Limits.WithDefaults(s.cfg.DefaultLimits)
 }
+
+// wedgeFactor is the watchdog's multiple of a job's own deadline.
+const wedgeFactor = 2
 
 // maxWatchdog caps the watchdog horizon when the multiply below would
 // overflow. A day-long watchdog is already "never" for a served job; the
@@ -260,8 +258,8 @@ const maxWatchdog = 24 * time.Hour
 // watchdog, never wraps negative and condemns the job on the spot.
 func (s *Sched) jobWatchdog(l interp.Limits) time.Duration {
 	d := l.Deadline
-	wd := d * time.Duration(s.cfg.WedgeFactor)
-	if wd/time.Duration(s.cfg.WedgeFactor) != d || wd <= 0 || wd > maxWatchdog {
+	wd := d * wedgeFactor
+	if wd/wedgeFactor != d || wd <= 0 || wd > maxWatchdog {
 		wd = maxWatchdog
 	}
 	if wd += s.cfg.WedgeSlack; wd <= 0 {
@@ -274,7 +272,7 @@ func (s *Sched) jobWatchdog(l interp.Limits) time.Duration {
 // backlog per slot.
 func (s *Sched) shedLocked(job *Job, why string) *JobResult {
 	s.stats.Shed++
-	s.cfg.Metrics.event(evShed)
+	s.cfg.Metrics.events.Inc(evShed)
 	ahead := int(s.waiting.Load()) + s.running + 1
 	per := s.cfg.DefaultLimits.Deadline
 	retry := per * time.Duration(ahead) / time.Duration(max(1, s.cfg.Slots))
@@ -550,11 +548,6 @@ func (s *Sched) execute(j *schedJob) *JobResult {
 	jr.Worker = sr.id
 	r := sr.r
 	r.SetLimits(j.limits)
-	if f := s.cfg.VMFaults; f != nil {
-		r.SetFaults(f(j.job))
-	} else {
-		r.SetFaults(nil)
-	}
 	r.SetYield(s.cfg.QuantumSteps, func() time.Duration { return s.yield(j) })
 	// Warm-start plumbing: arm the job's portable IC seed (nil disarms —
 	// essential, or the previous job's seed would bind to this program)
@@ -638,11 +631,11 @@ func (s *Sched) finish(j *schedJob, res *JobResult) *schedJob {
 	case poisoned:
 		s.stats.Poisoned++
 		s.stats.Restarts++
-		s.cfg.Metrics.event(evPoisoned)
-		s.cfg.Metrics.event(evRestart)
+		s.cfg.Metrics.events.Inc(evPoisoned)
+		s.cfg.Metrics.events.Inc(evRestart)
 	case recycled:
 		s.stats.Recycled++
-		s.cfg.Metrics.event(evRecycled)
+		s.cfg.Metrics.events.Inc(evRecycled)
 	default:
 		// Bounded by MaxResident: more warm VMs than can ever be resident
 		// is waste.
@@ -674,7 +667,6 @@ func (s *Sched) disposeRunner(sr *schedRunner, res *JobResult) (poisoned, recycl
 		return false, true
 	}
 	sr.r.SetYield(0, nil)
-	sr.r.SetFaults(nil)
 	sr.r.Reset()
 	return false, false
 }
@@ -688,7 +680,6 @@ const canarySrc = "print(6 * 7)\n"
 func canaryRunner(r *runtime.Runner) string {
 	r.SetYield(0, nil)
 	r.SetLimits(interp.Limits{MaxSteps: 100_000, Deadline: 5 * time.Second})
-	r.SetFaults(nil)
 	// The canary must run from truly pristine state: a seed armed by the
 	// errored job would bind to the canary's code tree.
 	r.SetICSeed(nil)
@@ -791,8 +782,8 @@ func (s *Sched) maintain() {
 			s.heapReserved -= j.reserve
 			s.stats.Wedged++
 			s.stats.Restarts++
-			s.cfg.Metrics.event(evWedged)
-			s.cfg.Metrics.event(evRestart)
+			s.cfg.Metrics.events.Inc(evWedged)
+			s.cfg.Metrics.events.Inc(evRestart)
 			j.note(s, LifeFinished, now)
 			worker := -1
 			if j.sr != nil {

@@ -21,8 +21,8 @@ const (
 // Histogram is a log-bucketed latency histogram with a lock-free,
 // allocation-free record path: one atomic add on the value's bucket and
 // one on the sum cell, each on its own padded cache line. The zero value
-// is unusable; obtain one from Registry.Histogram or HistogramVec. All
-// methods are safe on a nil receiver.
+// is ready to use (the router keeps a private one for its hedge delay);
+// HistogramVec exposes them. All methods are safe on a nil receiver.
 //
 // Recording increments the bucket before any reader could derive the
 // count, and Snapshot derives the count from the bucket totals, so a
@@ -101,70 +101,59 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramVec is a fixed family of histograms keyed by one label whose
-// value set is known at construction. The record path indexes an array.
-type HistogramVec struct {
-	children []*Histogram
-}
-
-// Observe records d on the child at label index i; out-of-range indexes
-// are dropped. Safe on a nil receiver.
-func (v *HistogramVec) Observe(i int, d time.Duration) {
-	if v == nil || i < 0 || i >= len(v.children) {
-		return
+// Quantile returns the lower edge of the bucket holding the q-quantile
+// observation — the previous bucket's upper bound, zero for bucket 0 and
+// when empty: an estimate that never overstates the quantile and, below
+// the overflow bucket, is at most 2x under it.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	target := uint64(float64(s.Count) * q)
+	var cum uint64
+	for i, n := range s.Buckets {
+		if cum += n; cum > target {
+			if i == 0 {
+				return 0
+			}
+			return BucketBound(i - 1)
+		}
 	}
-	v.children[i].Observe(d)
+	return 0
 }
 
-// Snapshot reads the child at label index i.
-func (v *HistogramVec) Snapshot(i int) HistogramSnapshot {
-	if v == nil || i < 0 || i >= len(v.children) {
-		return HistogramSnapshot{}
-	}
-	return v.children[i].Snapshot()
-}
+// HistogramVec is a histogram family keyed by one label, with the same
+// slot discipline as CounterVec: the record path indexes a copy-on-write
+// slice, Slot grows it, out-of-range slots are dropped. All methods are
+// safe on a nil receiver.
+type HistogramVec family[Histogram]
 
-// Histogram registers and returns a new histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	h := &Histogram{}
-	r.register(name, &histFam{name: name, help: help, children: []histChild{{labels: "", h: h}}})
-	return h
-}
+func (v *HistogramVec) fam() *family[Histogram] { return (*family[Histogram])(v) }
 
-// HistogramVec registers a histogram family keyed by one label over a
-// fixed value set.
+// Slot returns the slot of value's series, creating it if absent (-1 on a
+// nil receiver).
+func (v *HistogramVec) Slot(value string) int { return v.fam().slot(value) }
+
+// Observe records d on the series at slot i.
+func (v *HistogramVec) Observe(i int, d time.Duration) { v.fam().at(i).Observe(d) }
+
+// Snapshot reads the series at slot i.
+func (v *HistogramVec) Snapshot(i int) HistogramSnapshot { return v.fam().at(i).Snapshot() }
+
+// HistogramVec registers a histogram family keyed by label. values seeds
+// the series set (may be empty); Slot grows it. Latencies are exposed in
+// seconds, per Prometheus convention; bucket bounds are the power-of-two
+// nanosecond bounds converted.
 func (r *Registry) HistogramVec(name, help, label string, values []string) *HistogramVec {
-	fam := &histFam{name: name, help: help}
-	v := &HistogramVec{}
-	for _, val := range values {
-		h := &Histogram{}
-		v.children = append(v.children, h)
-		fam.children = append(fam.children, histChild{labels: renderLabel(label, val), h: h})
-	}
-	r.register(name, fam)
+	v := (*HistogramVec)(newFamily[Histogram](name, help, label, values))
+	r.register(name, v)
 	return v
 }
 
-// histFam renders one histogram family. Latencies are exposed in
-// seconds, per Prometheus convention; bucket bounds are the power-of-two
-// nanosecond bounds converted.
-type histFam struct {
-	name, help string
-	children   []histChild
-}
-
-type histChild struct {
-	labels string
-	h      *Histogram
-}
-
-func (f *histFam) expose(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name); err != nil {
+func (v *HistogramVec) expose(w io.Writer) error {
+	f := v.fam()
+	if err := header(w, f.name, f.help, "histogram"); err != nil {
 		return err
 	}
-	for _, ch := range f.children {
-		s := ch.h.Snapshot()
-		if err := exposeChild(w, f.name, ch.labels, s); err != nil {
+	for _, ch := range *f.kids.Load() {
+		if err := exposeChild(w, f.name, ch.labels, ch.v.Snapshot()); err != nil {
 			return err
 		}
 	}

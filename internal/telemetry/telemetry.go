@@ -7,9 +7,17 @@
 // host bookkeeping, never simulated work. Nothing here emits micro-events
 // or touches the attribution pipeline, and the record path takes no locks
 // and performs no allocations — a counter add is one atomic RMW on a
-// padded cache line, a histogram observation is two. All record methods
-// are safe on nil receivers, so an unwired subsystem pays a single
-// predictable branch.
+// padded cache line, a histogram observation is two. Everything is inert
+// when unobserved: every record method is safe on a nil receiver, and a
+// nil *Registry registers nothing and exposes nothing, so an unwired
+// subsystem pays a single predictable branch per record site.
+//
+// There is one family type per kind: Counter/CounterVec, Histogram/
+// HistogramVec, and the scrape-time callbacks (CounterFunc, GaugeFunc,
+// DynamicGaugeFunc). A labelled family keeps its children in a
+// copy-on-write slice, so a family whose label set is fixed at
+// registration (exit classes) and one that grows at runtime (a
+// hot-reloadable fleet's backends) are the same type.
 //
 // Scrapes (Registry.WritePrometheus) are the slow path: they read the
 // same atomic cells the recorders write, so a scrape concurrent with
@@ -58,7 +66,7 @@ func shard() uint32 {
 }
 
 // Counter is a monotonically increasing sharded atomic counter. The zero
-// value is unusable; obtain one from Registry.Counter or CounterVec. All
+// value is ready to use; Registry.Counter and CounterVec expose one. All
 // methods are safe on a nil receiver (no-op / zero).
 type Counter struct {
 	cells [shards]cell
@@ -87,32 +95,106 @@ func (c *Counter) Value() uint64 {
 	return t
 }
 
-// CounterVec is a fixed family of counters keyed by one label whose value
-// set is known at construction (exit classes, overhead categories). The
-// record path indexes an array — no map lookups, no allocation.
-type CounterVec struct {
-	children []*Counter
+// family is the child set behind CounterVec and HistogramVec: one series
+// per label value, kept in a copy-on-write slice behind an atomic
+// pointer. The record path loads the pointer and indexes it — no locks,
+// no allocation. Growth (slot) is the slow path: under a mutex it copies
+// the slice, appends the new child and publishes the copy, so concurrent
+// recorders only ever see fully-formed states. A series, once born,
+// reports forever (Prometheus semantics: a removed backend's counters
+// stop moving, they do not disappear).
+type family[T any] struct {
+	name, help, label string
+
+	mu    sync.Mutex
+	slots map[string]int
+	kids  atomic.Pointer[[]child[T]]
 }
 
-// Add adds n to the child at label index i. Out-of-range indexes are
-// dropped rather than panicking (a malformed class must not take down
-// the record path). Safe on a nil receiver.
-func (v *CounterVec) Add(i int, n uint64) {
-	if v == nil || i < 0 || i >= len(v.children) {
-		return
+type child[T any] struct {
+	labels string // rendered label set; "" in an unlabelled family
+	v      *T
+}
+
+func newFamily[T any](name, help, label string, values []string) *family[T] {
+	f := &family[T]{name: name, help: help, label: label, slots: make(map[string]int)}
+	f.kids.Store(&[]child[T]{})
+	for _, val := range values {
+		f.slot(val)
 	}
-	v.children[i].Add(n)
+	return f
 }
 
-// Inc adds one to the child at label index i.
+// slot returns the index of value's series, creating it if absent.
+// Indexes are stable for the family's lifetime: a value re-added later
+// gets its original slot back. -1 on a nil family.
+func (f *family[T]) slot(value string) int {
+	if f == nil {
+		return -1
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i, ok := f.slots[value]; ok {
+		return i
+	}
+	labels := ""
+	if f.label != "" {
+		labels = renderLabel(f.label, value)
+	}
+	old := *f.kids.Load()
+	next := make([]child[T], len(old), len(old)+1)
+	copy(next, old)
+	next = append(next, child[T]{labels: labels, v: new(T)})
+	f.slots[value] = len(old)
+	f.kids.Store(&next)
+	return len(old)
+}
+
+// at returns the series at slot i; nil (an inert instrument) when i is
+// out of range or the family is nil.
+func (f *family[T]) at(i int) *T {
+	if f == nil || i < 0 {
+		return nil
+	}
+	kids := *f.kids.Load()
+	if i >= len(kids) {
+		return nil
+	}
+	return kids[i].v
+}
+
+// CounterVec is a counter family keyed by one label. Series are addressed
+// by slot index, so the record path indexes an array; out-of-range slots
+// are dropped rather than panicking (a malformed class must not take down
+// the record path). All methods are safe on a nil receiver.
+type CounterVec family[Counter]
+
+func (v *CounterVec) fam() *family[Counter] { return (*family[Counter])(v) }
+
+// Slot returns the slot of value's series, creating it if absent (-1 on a
+// nil receiver).
+func (v *CounterVec) Slot(value string) int { return v.fam().slot(value) }
+
+// Add adds n to the series at slot i.
+func (v *CounterVec) Add(i int, n uint64) { v.fam().at(i).Add(n) }
+
+// Inc adds one to the series at slot i.
 func (v *CounterVec) Inc(i int) { v.Add(i, 1) }
 
-// Value returns the current total of the child at label index i.
-func (v *CounterVec) Value(i int) uint64 {
-	if v == nil || i < 0 || i >= len(v.children) {
-		return 0
+// Value returns the current total of the series at slot i.
+func (v *CounterVec) Value(i int) uint64 { return v.fam().at(i).Value() }
+
+func (v *CounterVec) expose(w io.Writer) error {
+	f := v.fam()
+	if err := header(w, f.name, f.help, "counter"); err != nil {
+		return err
 	}
-	return v.children[i].Value()
+	for _, ch := range *f.kids.Load() {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, ch.labels, ch.v.Value()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // collector is one registered metric family, exposable in Prometheus
@@ -123,6 +205,8 @@ type collector interface {
 
 // Registry holds registered metric families and renders them in
 // registration order. Registration takes a lock; recording never does.
+// A nil *Registry is inert: instruments built on it work but are never
+// exposed, and WritePrometheus writes nothing.
 type Registry struct {
 	mu   sync.Mutex
 	fams []collector
@@ -136,6 +220,9 @@ func NewRegistry() *Registry {
 
 // register validates the family name and appends the collector.
 func (r *Registry) register(name string, c collector) {
+	if r == nil {
+		return
+	}
 	if !validName(name) {
 		panic("telemetry: invalid metric name " + name)
 	}
@@ -168,11 +255,9 @@ func validName(s string) bool {
 	return true
 }
 
-// Counter registers and returns a new counter.
+// Counter registers and returns a new unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, &counterFam{name: name, help: help, children: []counterChild{{labels: "", c: c}}})
-	return c
+	return r.CounterVec(name, help, "", []string{""}).fam().at(0)
 }
 
 // CounterFunc registers a counter read from fn at scrape time, for a
@@ -183,17 +268,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, &counterFuncFam{name: name, help: help, fn: fn})
 }
 
-// CounterVec registers a counter family keyed by one label over a fixed
-// value set.
+// CounterVec registers a counter family keyed by label. values seeds the
+// series set (may be empty); Slot grows it.
 func (r *Registry) CounterVec(name, help, label string, values []string) *CounterVec {
-	fam := &counterFam{name: name, help: help}
-	v := &CounterVec{}
-	for _, val := range values {
-		c := &Counter{}
-		v.children = append(v.children, c)
-		fam.children = append(fam.children, counterChild{labels: renderLabel(label, val), c: c})
-	}
-	r.register(name, fam)
+	v := (*CounterVec)(newFamily[Counter](name, help, label, values))
+	r.register(name, v)
 	return v
 }
 
@@ -204,21 +283,28 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, &gaugeFam{name: name, help: help, fn: fn})
 }
 
-// GaugeFuncVec registers a gauge family keyed by one label over a fixed
-// value set, evaluated at scrape time: fn(i) is called with the label
-// index for each series (e.g. per-backend health in a routing tier).
-// Like GaugeFunc, the callback runs on the scrape path only.
-func (r *Registry) GaugeFuncVec(name, help, label string, values []string, fn func(i int) float64) {
-	fam := &gaugeVecFam{name: name, help: help, fn: fn}
-	for _, val := range values {
-		fam.labels = append(fam.labels, renderLabel(label, val))
-	}
-	r.register(name, fam)
+// LabelValue is one series of a dynamic gauge family: a label value and
+// its current reading.
+type LabelValue struct {
+	Value string
+	V     float64
+}
+
+// DynamicGaugeFunc registers a gauge family whose series set is computed
+// fresh at every scrape: fn returns the (label value, reading) pairs to
+// expose. It exists for state whose population changes at runtime (the
+// routing tier's live fleet). The callback runs on the scrape path only,
+// so it may take locks and allocate.
+func (r *Registry) DynamicGaugeFunc(name, help, label string, fn func() []LabelValue) {
+	r.register(name, &dynGaugeFam{name: name, help: help, label: label, fn: fn})
 }
 
 // WritePrometheus renders every registered family in Prometheus text
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	fams := make([]collector, len(r.fams))
 	copy(fams, r.fams)
@@ -229,6 +315,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// header writes a family's HELP and TYPE lines.
+func header(w io.Writer, name, help, typ string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return err
 }
 
 // renderLabel renders a single-pair label set, escaping the value per the
@@ -254,29 +346,6 @@ func escapeLabel(s string) string {
 	return string(out)
 }
 
-// counterFam renders one counter family.
-type counterFam struct {
-	name, help string
-	children   []counterChild
-}
-
-type counterChild struct {
-	labels string
-	c      *Counter
-}
-
-func (f *counterFam) expose(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name); err != nil {
-		return err
-	}
-	for _, ch := range f.children {
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, ch.labels, ch.c.Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // counterFuncFam renders one callback counter.
 type counterFuncFam struct {
 	name, help string
@@ -284,8 +353,10 @@ type counterFuncFam struct {
 }
 
 func (f *counterFuncFam) expose(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-		f.name, f.help, f.name, f.name, f.fn())
+	if err := header(w, f.name, f.help, "counter"); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s %d\n", f.name, f.fn())
 	return err
 }
 
@@ -296,24 +367,25 @@ type gaugeFam struct {
 }
 
 func (f *gaugeFam) expose(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-		f.name, f.help, f.name, f.name, formatFloat(f.fn()))
+	if err := header(w, f.name, f.help, "gauge"); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
 	return err
 }
 
-// gaugeVecFam renders one labelled callback-gauge family.
-type gaugeVecFam struct {
-	name, help string
-	labels     []string
-	fn         func(i int) float64
+// dynGaugeFam renders one dynamic gauge family.
+type dynGaugeFam struct {
+	name, help, label string
+	fn                func() []LabelValue
 }
 
-func (f *gaugeVecFam) expose(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", f.name, f.help, f.name); err != nil {
+func (f *dynGaugeFam) expose(w io.Writer) error {
+	if err := header(w, f.name, f.help, "gauge"); err != nil {
 		return err
 	}
-	for i, labels := range f.labels {
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(f.fn(i))); err != nil {
+	for _, lv := range f.fn() {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabel(f.label, lv.Value), formatFloat(lv.V)); err != nil {
 			return err
 		}
 	}

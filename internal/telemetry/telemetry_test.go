@@ -45,6 +45,21 @@ func TestNilReceiversAreInert(t *testing.T) {
 	if s := hv.Snapshot(0); s.Count != 0 {
 		t.Fatal("nil histogram vec has observations")
 	}
+
+	// A nil registry registers nothing and exposes nothing; instruments
+	// built on it still work.
+	var r *Registry
+	rc := r.Counter("nil_total", "help")
+	rc.Inc()
+	if rc.Value() != 1 {
+		t.Fatalf("counter on a nil registry = %d, want 1", rc.Value())
+	}
+	r.HistogramVec("nil_seconds", "help", "k", []string{"a"}).Observe(0, time.Second)
+	r.GaugeFunc("nil_gauge", "help", func() float64 { return 1 })
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry exposed %q (err %v)", buf.String(), err)
+	}
 }
 
 func TestVecOutOfRangeDropped(t *testing.T) {
@@ -91,8 +106,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 
 	// Observe at each boundary and check the snapshot places them.
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "help")
+	var h Histogram
 	h.Observe(1024 * time.Nanosecond)
 	h.Observe(1025 * time.Nanosecond)
 	h.Observe(time.Duration(1)<<37 + 1) // overflow
@@ -131,7 +145,7 @@ func TestConcurrentRecordersAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "help")
 	cv := r.CounterVec("conc_class_total", "help", "class", []string{"a", "b", "c"})
-	h := r.Histogram("conc_seconds", "help")
+	h := r.HistogramVec("conc_seconds", "help", "k", []string{"a"}).fam().at(0)
 	r.GaugeFunc("conc_gauge", "help", func() float64 { return float64(c.Value()) })
 
 	const (
@@ -236,9 +250,9 @@ func TestExpositionFormat(t *testing.T) {
 	cv.Add(1, 3)
 	r.GaugeFunc("workers", "Live workers.", func() float64 { return 4 })
 	r.CounterFunc("cache_hits_total", "Cache hits.", func() uint64 { return 9 })
-	h := r.Histogram("lat_seconds", "Latency.")
-	h.Observe(1024 * time.Nanosecond) // bucket 0
-	h.Observe(3 * time.Microsecond)   // bucket 2 (bound 4.096 µs)
+	h := r.HistogramVec("lat_seconds", "Latency.", "k", []string{"a"})
+	h.Observe(0, 1024*time.Nanosecond) // bucket 0
+	h.Observe(0, 3*time.Microsecond)   // bucket 2 (bound 4.096 µs)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -253,10 +267,10 @@ func TestExpositionFormat(t *testing.T) {
 		"# TYPE workers gauge\nworkers 4\n",
 		"# HELP cache_hits_total Cache hits.\n# TYPE cache_hits_total counter\ncache_hits_total 9\n",
 		"# TYPE lat_seconds histogram\n",
-		`lat_seconds_bucket{le="1.024e-06"} 1`,
-		`lat_seconds_bucket{le="4.096e-06"} 2`,
-		`lat_seconds_bucket{le="+Inf"} 2`,
-		"lat_seconds_count 2\n",
+		`lat_seconds_bucket{k="a",le="1.024e-06"} 1`,
+		`lat_seconds_bucket{k="a",le="4.096e-06"} 2`,
+		`lat_seconds_bucket{k="a",le="+Inf"} 2`,
+		"lat_seconds_count{k=\"a\"} 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, out)
