@@ -174,8 +174,8 @@ func run() int {
 		}
 		res := supervise.SchedSoak(cfg)
 		s := res.Stats
-		fmt.Printf("sched soak: %d jobs, %d completed, %d preemptions, %d shed, %d wedged, %d slots\n",
-			res.Jobs, s.Completed, s.Preempted, s.Shed, s.Wedged, s.Workers)
+		fmt.Printf("sched soak: %d jobs, %d completed, %d preemptions (%d reclaimed), %d shed, %d wedged, %d slots\n",
+			res.Jobs, s.Completed, s.Preempted, s.Reclaimed, s.Shed, s.Wedged, s.Workers)
 		for _, v := range res.Violations {
 			fmt.Printf("violation: %s\n", v)
 		}

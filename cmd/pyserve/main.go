@@ -21,7 +21,9 @@
 // step-sliced instead: -workers becomes the concurrent slot count, jobs
 // interleave at -quantum-steps granularity under strict-priority lanes
 // and per-tenant round-robin, and many more jobs than slots can be in
-// flight at once (long programs no longer block short ones).
+// flight at once (long programs no longer block short ones). A job that
+// finds every slot held, one by a lower lane, takes that slot within
+// ~1k bytecodes rather than at the end of the lower job's quantum.
 //
 // Endpoints (versioned API, see internal/api and internal/serve):
 //

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -24,6 +25,11 @@ type Limits = api.Limits
 // interpreter speeds this bounds deadline overshoot to well under a
 // millisecond while keeping time.Now off the dispatch fast path.
 const deadlineStride = 8192
+
+// preemptStride is how many bytecodes run between polls of a yield
+// hook's urgent flag: how far a running job gets, at most, between a
+// scheduler asking it to give up its slot and the yield that does.
+const preemptStride = 1024
 
 // SetLimits installs the resource limits. Call before RunCode; the step
 // and wall-clock budgets are (re-)armed at each RunCode entry.
@@ -49,12 +55,16 @@ func (vm *VM) Limits() Limits { return vm.limits }
 // charged against the job's own budget. The quantum arms its own
 // nextCheck term independent of Limits, so a job with no step budget
 // (nextCheck otherwise ^uint64(0)) still reaches yield points and can be
-// preempted. quantum 0 or fn nil disarms slicing.
-func (vm *VM) SetYield(quantum uint64, fn func() time.Duration) {
+// preempted. A non-nil urgent flag is polled every preemptStride
+// bytecodes, and fn runs early, mid-quantum, while it is set: the
+// scheduler raises it to take the slot back for a higher-priority job.
+// The VM only reads the flag; clearing it is the hook's business.
+// quantum 0 or fn nil disarms slicing.
+func (vm *VM) SetYield(quantum uint64, urgent *atomic.Bool, fn func() time.Duration) {
 	if quantum == 0 || fn == nil {
-		vm.sliceSteps, vm.yieldFn = 0, nil
+		vm.sliceSteps, vm.urgent, vm.yieldFn = 0, nil, nil
 	} else {
-		vm.sliceSteps, vm.yieldFn = quantum, fn
+		vm.sliceSteps, vm.urgent, vm.yieldFn = quantum, urgent, fn
 	}
 	vm.sliceBase = vm.iterations
 	vm.scheduleGovernor()
@@ -111,16 +121,24 @@ func (vm *VM) scheduleGovernor() {
 		if c < next {
 			next = c
 		}
+		if vm.urgent != nil {
+			if c := vm.iterations + preemptStride; c < next {
+				next = c
+			}
+		}
 	}
 	vm.nextCheck = next
 }
 
-// maybeYield runs the step-slice hook if the quantum has elapsed,
-// crediting parked time to the deadline. Shared by both governor slow
-// paths; emits no micro-events (scheduling is host bookkeeping and must
-// not distort overhead-category attribution).
+// maybeYield runs the step-slice hook if the quantum has elapsed or the
+// urgent flag is up, crediting parked time to the deadline. Shared by
+// both governor slow paths; emits no micro-events (scheduling is host
+// bookkeeping and must not distort overhead-category attribution).
 func (vm *VM) maybeYield() {
-	if vm.sliceSteps == 0 || vm.iterations-vm.sliceBase < vm.sliceSteps {
+	if vm.sliceSteps == 0 {
+		return
+	}
+	if vm.iterations-vm.sliceBase < vm.sliceSteps && (vm.urgent == nil || !vm.urgent.Load()) {
 		return
 	}
 	parked := vm.yieldFn()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,7 +387,7 @@ print(acc)
 `
 	vm, out := newLimited(gc.DefaultRefCountConfig(), Limits{}) // no limits at all
 	var yields int
-	vm.SetYield(64, func() time.Duration {
+	vm.SetYield(64, nil, func() time.Duration {
 		yields++
 		return 0
 	})
@@ -403,7 +404,7 @@ print(acc)
 		t.Fatalf("wrong output: %q", out.String())
 	}
 	// Disarming restores the unreachable threshold for a limitless VM.
-	vm.SetYield(0, nil)
+	vm.SetYield(0, nil, nil)
 	if vm.nextCheck != ^uint64(0) {
 		t.Fatalf("disarmed unlimited VM: nextCheck = %d", vm.nextCheck)
 	}
@@ -423,7 +424,7 @@ print(acc)
 	parked := make(chan struct{})
 	resume := make(chan struct{})
 	first := true
-	vm.SetYield(64, func() time.Duration {
+	vm.SetYield(64, nil, func() time.Duration {
 		if first {
 			first = false
 			parked <- struct{}{}
@@ -465,7 +466,7 @@ print(acc)
 `
 	vm, _ := newLimited(gc.DefaultRefCountConfig(), Limits{Deadline: 40 * time.Millisecond})
 	once := true
-	vm.SetYield(64, func() time.Duration {
+	vm.SetYield(64, nil, func() time.Duration {
 		if once {
 			once = false
 			// Park well past the job's whole deadline, then report it.
@@ -484,7 +485,7 @@ print(acc)
 	// above, not timing slack.
 	vm2, _ := newLimited(gc.DefaultRefCountConfig(), Limits{Deadline: 40 * time.Millisecond})
 	once2 := true
-	vm2.SetYield(64, func() time.Duration {
+	vm2.SetYield(64, nil, func() time.Duration {
 		if once2 {
 			once2 = false
 			time.Sleep(80 * time.Millisecond)
@@ -515,7 +516,7 @@ print(acc)
 	for _, q := range []uint64{1, 7, 64} {
 		vm, out := newLimited(gc.DefaultRefCountConfig(), Limits{MaxSteps: total})
 		yields := 0
-		vm.SetYield(q, func() time.Duration { yields++; return 0 })
+		vm.SetYield(q, nil, func() time.Duration { yields++; return 0 })
 		if err := vm.RunSource("<exact>", src); err != nil {
 			t.Fatalf("quantum %d: budget == length should complete, got %v", q, err)
 		}
@@ -527,9 +528,57 @@ print(acc)
 		}
 
 		vm, _ = newLimited(gc.DefaultRefCountConfig(), Limits{MaxSteps: total - 1})
-		vm.SetYield(q, func() time.Duration { return 0 })
+		vm.SetYield(q, nil, func() time.Duration { return 0 })
 		if err := vm.RunSource("<short>", src); errKind(err) != "TimeoutError" {
 			t.Fatalf("quantum %d: budget-1 want TimeoutError, got %v", q, err)
+		}
+	}
+}
+
+// TestYieldUrgentAtPreemptStride: with the quantum unreachable, a raised
+// urgent flag still calls the hook, at the next preemption check and
+// every preemptStride bytecodes while it stays up; once lowered, the
+// hook is silent again. Without a flag an exclusive VM pays nothing: its
+// threshold stays unreachable.
+func TestYieldUrgentAtPreemptStride(t *testing.T) {
+	src := `
+acc = 0
+for i in xrange(5000):
+    acc = acc + i
+print(acc)
+`
+	vm, out := newLimited(gc.DefaultRefCountConfig(), Limits{})
+	vm.SetYield(^uint64(0), nil, func() time.Duration { return 0 })
+	if vm.nextCheck != ^uint64(0) {
+		t.Fatalf("saturated quantum, no urgent flag: nextCheck = %d", vm.nextCheck)
+	}
+
+	var urgent atomic.Bool
+	var at []uint64
+	vm.SetYield(^uint64(0), &urgent, func() time.Duration {
+		at = append(at, vm.iterations)
+		if len(at) == 3 {
+			urgent.Store(false)
+		}
+		return 0
+	})
+	urgent.Store(true)
+	if err := vm.RunSource("<urgent>", src); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out.String(), "12497500") {
+		t.Fatalf("wrong output: %q", out.String())
+	}
+	if vm.iterations < 4*preemptStride {
+		t.Fatalf("program too short to test the stride: %d bytecodes", vm.iterations)
+	}
+	want := []uint64{preemptStride, 2 * preemptStride, 3 * preemptStride}
+	if len(at) != len(want) {
+		t.Fatalf("hook ran at bytecodes %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("hook ran at bytecodes %v, want %v", at, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -155,8 +156,11 @@ type VM struct {
 	// stack intact) and returns the parked duration, which is credited
 	// back to deadlineAt so scheduling delay never trips the wall-clock
 	// budget. Independent of Limits: an unlimited job still yields.
+	// urgent, when armed, is polled every preemptStride bytecodes and
+	// calls the hook before the quantum is up.
 	sliceSteps uint64
 	sliceBase  uint64
+	urgent     *atomic.Bool
 	yieldFn    func() time.Duration
 	// unwound captures the frame stack while a Go panic unwinds
 	// (crash-isolation snapshot; see noteUnwind). unwoundTotal counts

@@ -15,6 +15,7 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -219,6 +220,7 @@ type Runner struct {
 	// Step-slice hook re-armed on every state (SetYield); lives beside
 	// the config so Reset-built warm states carry it too.
 	yieldQuantum uint64
+	yieldUrgent  *atomic.Bool
 	yieldFn      func() time.Duration
 	// Portable IC seed plumbing (SetICSeed / SetCollectICSeed), re-armed
 	// on every state like the yield hook.
@@ -269,14 +271,14 @@ func (r *Runner) SetLimits(l interp.Limits) { r.cfg.Limits = l }
 func (r *Runner) SetFaults(in *faults.Injector) { r.cfg.Faults = in }
 
 // SetYield installs a cooperative step-slice hook on subsequent runs:
-// every quantum bytecodes the VM calls fn from the governor slow path,
-// which may park the goroutine (see interp.VM.SetYield). Takes effect
-// even when a pre-built state from Reset is waiting. quantum 0 or fn nil
-// disarms.
-func (r *Runner) SetYield(quantum uint64, fn func() time.Duration) {
-	r.yieldQuantum, r.yieldFn = quantum, fn
+// every quantum bytecodes, or within ~1k bytecodes of urgent (may be
+// nil) being set, the VM calls fn from the governor slow path, which may
+// park the goroutine (see interp.VM.SetYield). Takes effect even when a
+// pre-built state from Reset is waiting. quantum 0 or fn nil disarms.
+func (r *Runner) SetYield(quantum uint64, urgent *atomic.Bool, fn func() time.Duration) {
+	r.yieldQuantum, r.yieldUrgent, r.yieldFn = quantum, urgent, fn
 	if r.warm != nil {
-		r.warm.vm.SetYield(quantum, fn)
+		r.warm.vm.SetYield(quantum, urgent, fn)
 	}
 }
 
@@ -320,7 +322,7 @@ func (r *Runner) buildState() *runState {
 	}
 	st.vm.MaxBytecodes = cfg.MaxBytecodes
 	st.vm.SetLimits(cfg.Limits)
-	st.vm.SetYield(r.yieldQuantum, r.yieldFn)
+	st.vm.SetYield(r.yieldQuantum, r.yieldUrgent, r.yieldFn)
 	st.vm.SetICSeed(r.icSeed)
 	st.vm.Heap.SetFaults(cfg.Faults)
 
@@ -361,7 +363,7 @@ func (r *Runner) takeState() *runState {
 	st.out.tee = r.cfg.Stdout
 	st.vm.MaxBytecodes = r.cfg.MaxBytecodes
 	st.vm.SetLimits(r.cfg.Limits)
-	st.vm.SetYield(r.yieldQuantum, r.yieldFn)
+	st.vm.SetYield(r.yieldQuantum, r.yieldUrgent, r.yieldFn)
 	st.vm.SetICSeed(r.icSeed)
 	return st
 }

@@ -69,8 +69,9 @@ type JobResult struct {
 	// Breakdown is the job's overhead attribution, present only when the
 	// job requested it (Job.Breakdown) and ran to a clean exit.
 	Breakdown *core.Breakdown
-	// Preemptions counts how many times the job was parked at a quantum
-	// boundary (always 0 in the exclusive configuration).
+	// Preemptions counts how many times the job was parked, at a quantum
+	// boundary or for a higher lane's job (always 0 in the exclusive
+	// configuration).
 	Preemptions int
 	// Lifecycle is the job's timestamped QUEUED→…→FINISHED transition
 	// trace (capped at 32 entries; Preemptions stays exact past the cap).
@@ -91,7 +92,8 @@ type Stats struct {
 	Poisoned  uint64 // Runners dropped for internal errors / bad probes
 	Recycled  uint64 // planned Runner retirements (job-count policy)
 	Restarts  uint64 // unplanned Runner retirements (poisoned or wedged)
-	Preempted uint64 // quantum-boundary preemptions
+	Preempted uint64 // preemptions: at a quantum boundary, or reclaimed
+	Reclaimed uint64 // of Preempted, mid-quantum yields to a higher lane's job
 
 	Workers      int // execution slots
 	Idle         int // free slots

@@ -16,8 +16,9 @@ const (
 	LifeScheduled
 	// LifeRunning: executing bytecodes on the VM.
 	LifeRunning
-	// LifePreempted: yielded the slot back at a quantum boundary;
-	// re-queued, goroutine parked with the VM state intact.
+	// LifePreempted: yielded the slot back at a quantum boundary, or
+	// mid-quantum to a higher lane's job; re-queued, goroutine parked
+	// with the VM state intact.
 	LifePreempted
 	// LifeFinished: reply delivered (completion or wedge verdict).
 	LifeFinished

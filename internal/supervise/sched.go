@@ -17,7 +17,10 @@ import (
 // one step-quantum at a time; at each quantum boundary the VM's governor
 // calls back into the scheduler (interp.VM.SetYield), which may park the
 // job's goroutine — Python frame stack and governor state stay live in
-// the VM, no Go-stack capture — and grant the slot to another job. An
+// the VM, no Go-stack capture — and grant the slot to another job. A job
+// that arrives to find every slot held, one of them by a lower lane,
+// does not wait out that job's quantum: the lower job is asked to yield
+// at its VM's next preemption check, ~1k bytecodes away. An
 // over-budget job is preempted back to its queue, never condemned:
 // preemption is a scheduling decision, condemnation is a health verdict,
 // and the two paths never mix.
@@ -31,8 +34,11 @@ import (
 //   - at most Slots jobs are RUNNING at once; at most MaxResident jobs
 //     hold a live VM (granted, until their Runner is reset or dropped),
 //     bounding memory however long the admission queue grows;
-//   - the uncontended path is wait-free: a yield with no waiters is one
-//     atomic load (the ≤2% single-job overhead gate in benchgate);
+//   - the uncontended path is wait-free: a yield with no waiters is two
+//     atomic loads (the ≤2% single-job overhead gate in benchgate), and
+//     only a job with a lane above it polls the urgent flag at all;
+//   - a queued job reclaims at most one slot, from the lowest lane
+//     running below its own, and only if it could start on that slot;
 //   - parked time is credited to the job's wall-clock deadline by the
 //     governor, so scheduling delay never trips a job's own budget;
 //   - scheduling emits no interpreter micro-events, so interleaving is
@@ -80,7 +86,8 @@ type SchedConfig struct {
 	// Slots is how many jobs execute concurrently (default 4).
 	Slots int
 	// QuantumSteps is the preemption granularity: a running job reaches
-	// a yield point every this many bytecodes (default 50k, ~sub-ms).
+	// a yield point every this many bytecodes (default 50k, a few ms). A
+	// higher lane's job does not wait for it; see preemptForLocked.
 	QuantumSteps uint64
 	// Lanes is the number of strict-priority lanes; lane 0 is served
 	// first (default 2). Job.Lane is clamped into range.
@@ -207,6 +214,11 @@ type schedJob struct {
 	// lastBeat is the wedge-scan heartbeat (unix nanos), stored by the
 	// job's goroutine on every governor yield, read by the scan.
 	lastBeat atomic.Int64
+	// urgent asks the running job to yield at its VM's next preemption
+	// check (~1k bytecodes) rather than at the end of its quantum. Raised
+	// under the mutex by preemptForLocked; cleared at the job's next
+	// yield and when it is granted again.
+	urgent atomic.Bool
 }
 
 // maxLifeEvents caps a result's recorded lifecycle trace; a job preempted
@@ -338,6 +350,7 @@ func (s *Sched) submit(job *Job) *JobResult {
 	j.note(s, LifeQueued, now)
 	s.enqueueLocked(j)
 	s.grantLocked()
+	s.preemptForLocked(j)
 	s.mu.Unlock()
 
 	return <-j.reply
@@ -399,6 +412,8 @@ func (s *Sched) grantLocked() {
 			}
 			continue
 		}
+		// A flag raised while the job was parking is stale by now.
+		j.urgent.Store(false)
 		j.grant <- struct{}{}
 	}
 }
@@ -452,15 +467,60 @@ func (s *Sched) popGrantableLocked(t *tenantQ) *schedJob {
 	return nil
 }
 
+// preemptForLocked reclaims a slot for j, just queued or re-queued for
+// want of one: it raises the urgent flag of a running job in a lower-
+// priority lane, which then yields within ~1k bytecodes instead of at
+// the end of its quantum, and the grant at that yield goes to j. The
+// victim comes from the lowest lane and must not be flagged already, so
+// N queued jobs reclaim at most N slots. Nothing is reclaimed for a job
+// that could not start on a freed slot (residency or heap headroom).
+func (s *Sched) preemptForLocked(j *schedJob) {
+	if j.lane == s.cfg.Lanes-1 {
+		return // no lane below the last
+	}
+	if _, granted := s.activeRunning[j]; granted {
+		return
+	}
+	if !j.started && (s.resident >= s.cfg.MaxResident || s.heapReserved+j.reserve > s.cfg.HeapWatermark) {
+		return
+	}
+	var victim *schedJob
+	for r := range s.activeRunning {
+		if r.lane > j.lane && !r.urgent.Load() && (victim == nil || r.lane > victim.lane) {
+			victim = r
+		}
+	}
+	if victim != nil {
+		victim.urgent.Store(true)
+	}
+}
+
+// queuedAboveLocked reports whether a job is queued in a lane of higher
+// priority than lane.
+func (s *Sched) queuedAboveLocked(lane int) bool {
+	for _, ls := range s.lanes[:lane] {
+		if len(ls.ring) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // yield is the governor callback for job j, called from the VM every
-// QuantumSteps bytecodes. The uncontended fast path — no waiters — is
-// one heartbeat store and one atomic load. Otherwise the job is
-// preempted: slot released, job re-queued at the back of its tenant
-// FIFO, goroutine parked until the next grant. Returns the parked
-// duration for the governor's deadline credit.
+// QuantumSteps bytecodes, or sooner when preemptForLocked raised the
+// job's urgent flag. The uncontended fast path — no waiters — is one
+// heartbeat store and two atomic loads. Otherwise the job is preempted:
+// slot released, job re-queued at the back of its tenant FIFO, goroutine
+// parked until the next grant. A mid-quantum (urgent) yield preempts
+// only for a job queued in a higher lane. Returns the parked duration
+// for the governor's deadline credit.
 func (s *Sched) yield(j *schedJob) time.Duration {
 	now := time.Now()
 	j.lastBeat.Store(now.UnixNano())
+	urgent := j.urgent.Load()
+	if urgent {
+		j.urgent.Store(false)
+	}
 	if s.waiting.Load() == 0 {
 		return 0
 	}
@@ -471,17 +531,21 @@ func (s *Sched) yield(j *schedJob) time.Duration {
 		// as an in-language error. The result is discarded by finish.
 		interp.Raise("TimeoutError", "job abandoned by scheduler after wedge verdict")
 	}
-	if s.closed || s.waiting.Load() == 0 {
+	if s.closed || s.waiting.Load() == 0 || (urgent && !s.queuedAboveLocked(j.lane)) {
 		s.mu.Unlock()
 		return 0
 	}
 	j.preemptions++
 	s.stats.Preempted++
+	if urgent {
+		s.stats.Reclaimed++
+	}
 	j.note(s, LifePreempted, now)
 	delete(s.activeRunning, j)
 	s.running--
 	s.enqueueLocked(j)
 	s.grantLocked()
+	s.preemptForLocked(j)
 	s.mu.Unlock()
 
 	<-j.grant
@@ -548,7 +612,13 @@ func (s *Sched) execute(j *schedJob) *JobResult {
 	jr.Worker = sr.id
 	r := sr.r
 	r.SetLimits(j.limits)
-	r.SetYield(s.cfg.QuantumSteps, func() time.Duration { return s.yield(j) })
+	// Only a job with a lane above it can be reclaimed mid-quantum, so
+	// only such a job polls the urgent flag.
+	var urgent *atomic.Bool
+	if j.lane > 0 {
+		urgent = &j.urgent
+	}
+	r.SetYield(s.cfg.QuantumSteps, urgent, func() time.Duration { return s.yield(j) })
 	// Warm-start plumbing: arm the job's portable IC seed (nil disarms —
 	// essential, or the previous job's seed would bind to this program)
 	// and the seed-export opt-in.
@@ -666,7 +736,7 @@ func (s *Sched) disposeRunner(sr *schedRunner, res *JobResult) (poisoned, recycl
 	case sr.jobs >= s.cfg.RecycleAfter:
 		return false, true
 	}
-	sr.r.SetYield(0, nil)
+	sr.r.SetYield(0, nil, nil)
 	sr.r.Reset()
 	return false, false
 }
@@ -678,7 +748,7 @@ const canarySrc = "print(6 * 7)\n"
 // canaryRunner reruns the canary program from pristine state on a Runner
 // whose last job errored (an aborted run yields no statistics to probe).
 func canaryRunner(r *runtime.Runner) string {
-	r.SetYield(0, nil)
+	r.SetYield(0, nil, nil)
 	r.SetLimits(interp.Limits{MaxSteps: 100_000, Deadline: 5 * time.Second})
 	// The canary must run from truly pristine state: a seed armed by the
 	// errored job would bind to the canary's code tree.

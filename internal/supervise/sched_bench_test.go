@@ -12,7 +12,7 @@ import (
 // TestSchedOverheadGuard is the performance regression gate for the
 // step-sliced scheduler's single-job path: with no contention (one job
 // at a time, zero waiters), the yield fast path must reduce to one
-// heartbeat store and one atomic load, so a job sliced at the default
+// heartbeat store and two atomic loads, so a job sliced at the default
 // quantum costs at most the p50 overhead the shared benchgate table
 // allows versus the same job in the exclusive configuration (which never
 // reaches a yield point). Best-of-N attempts with interleaved legs keep

@@ -10,7 +10,7 @@ package supervise
 // runner-level (a single Runner with a forced-parking yield hook vs the
 // same Runner without) and sched-level (a step-sliced Sched vs the
 // exclusive configuration, end to end, with preemption churn from
-// concurrent load). Deadline trips are the one excluded class: they are
+// concurrent load and reclaims across lanes). Deadline trips are the one excluded class: they are
 // timing-dependent by definition, so the deterministic limit programs
 // below pin the step-budget, recursion, and output-limit classes
 // instead.
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,10 +28,25 @@ import (
 	"repro/internal/runtime"
 )
 
-// equivQuanta are the slice granularities under test: pathological
-// (yield every bytecode), small (many yields per program), and the
-// production default.
-var equivQuanta = []uint64{1, 64, 50_000}
+// sliceLeg is one slice shape: a quantum (0: the exclusive leg) and
+// whether the urgent flag is held up, which makes the VM yield at every
+// preemption check (~1k bytecodes) as if reclaimed for a higher lane.
+type sliceLeg struct {
+	quantum uint64
+	urgent  bool
+}
+
+func (l sliceLeg) String() string {
+	if l.urgent {
+		return "urgent"
+	}
+	return fmt.Sprintf("quantum %d", l.quantum)
+}
+
+// equivLegs are the slice shapes under test: pathological (yield every
+// bytecode), small (many yields per program), the production default,
+// and mid-quantum reclaims under a quantum that never ends.
+var equivLegs = []sliceLeg{{quantum: 1}, {quantum: 64}, {quantum: 50_000}, {quantum: ^uint64(0), urgent: true}}
 
 // equivLimits keep every corpus program's class deterministic: the step
 // budget decides timeouts, never the wall clock.
@@ -49,14 +65,14 @@ type legOutcome struct {
 	NetRefs int64
 }
 
-// runLeg executes src on a fresh serving Runner. quantum == 0 is the
-// exclusive leg; otherwise a yield hook is armed that parks for real
+// runLeg executes src on a fresh serving Runner. The zero leg is the
+// exclusive one; otherwise a yield hook is armed that parks for real
 // (sleeps off the goroutine) on a sparse subset of yields, exercising
 // the park/resume path rather than just the governor arithmetic. The
 // park cadence scales with the quantum so the pathological quantum-1
 // leg doesn't spend its wall clock asleep: what matters is that SOME
 // yields genuinely park, not that all of them do.
-func runLeg(t *testing.T, name, src string, quantum uint64, limits interp.Limits) legOutcome {
+func runLeg(t *testing.T, name, src string, shape sliceLeg, limits interp.Limits) legOutcome {
 	t.Helper()
 	var out strings.Builder
 	cfg := runtime.ServingConfig(runtime.CPython)
@@ -66,13 +82,18 @@ func runLeg(t *testing.T, name, src string, quantum uint64, limits interp.Limits
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quantum != 0 {
+	if shape.quantum != 0 {
 		cadence := 3
-		if quantum < 1024 {
-			cadence = int(4096 / quantum)
+		if shape.quantum < 1024 {
+			cadence = int(4096 / shape.quantum)
+		}
+		var urgent *atomic.Bool
+		if shape.urgent {
+			urgent = new(atomic.Bool)
+			urgent.Store(true)
 		}
 		var yields int
-		r.SetYield(quantum, func() time.Duration {
+		r.SetYield(shape.quantum, urgent, func() time.Duration {
 			yields++
 			if yields%cadence != 0 {
 				return 0
@@ -101,24 +122,24 @@ func runLeg(t *testing.T, name, src string, quantum uint64, limits interp.Limits
 func assertSlicingAgrees(t *testing.T, name, src string) {
 	t.Helper()
 	limits := equivLimits()
-	base := runLeg(t, name, src, 0, limits)
-	for _, q := range equivQuanta {
-		got := runLeg(t, name, src, q, limits)
+	base := runLeg(t, name, src, sliceLeg{}, limits)
+	for _, leg := range equivLegs {
+		got := runLeg(t, name, src, leg, limits)
 		if got.Output != base.Output {
-			t.Errorf("%s: quantum %d output diverged\n--- exclusive ---\n%s--- sliced ---\n%s",
-				name, q, base.Output, got.Output)
+			t.Errorf("%s: %v output diverged\n--- exclusive ---\n%s--- sliced ---\n%s",
+				name, leg, base.Output, got.Output)
 		}
 		if got.Err != base.Err {
-			t.Errorf("%s: quantum %d exception diverged: exclusive %q, sliced %q",
-				name, q, base.Err, got.Err)
+			t.Errorf("%s: %v exception diverged: exclusive %q, sliced %q",
+				name, leg, base.Err, got.Err)
 		}
 		if got.Class != base.Class {
-			t.Errorf("%s: quantum %d class diverged: exclusive %v, sliced %v",
-				name, q, base.Class, got.Class)
+			t.Errorf("%s: %v class diverged: exclusive %v, sliced %v",
+				name, leg, base.Class, got.Class)
 		}
 		if base.Err == "" && got.NetRefs != base.NetRefs {
-			t.Errorf("%s: quantum %d net refcount balance diverged: exclusive %d, sliced %d",
-				name, q, base.NetRefs, got.NetRefs)
+			t.Errorf("%s: %v net refcount balance diverged: exclusive %d, sliced %d",
+				name, leg, base.NetRefs, got.NetRefs)
 		}
 	}
 }
@@ -196,19 +217,19 @@ var limitPrograms = []struct {
 
 func TestSlicedEquivLimitClasses(t *testing.T) {
 	for _, tc := range limitPrograms {
-		base := runLeg(t, tc.name, tc.src, 0, tc.limits)
+		base := runLeg(t, tc.name, tc.src, sliceLeg{}, tc.limits)
 		if base.Class != tc.want {
 			t.Fatalf("%s: exclusive class = %v, want %v (err %q)", tc.name, base.Class, tc.want, base.Err)
 		}
-		for _, q := range equivQuanta {
-			got := runLeg(t, tc.name, tc.src, q, tc.limits)
+		for _, leg := range equivLegs {
+			got := runLeg(t, tc.name, tc.src, leg, tc.limits)
 			if got.Class != base.Class || got.Err != base.Err {
-				t.Errorf("%s: quantum %d diverged: exclusive (%v, %q), sliced (%v, %q)",
-					tc.name, q, base.Class, base.Err, got.Class, got.Err)
+				t.Errorf("%s: %v diverged: exclusive (%v, %q), sliced (%v, %q)",
+					tc.name, leg, base.Class, base.Err, got.Class, got.Err)
 			}
 			if got.Output != base.Output {
-				t.Errorf("%s: quantum %d partial output diverged (%d vs %d bytes)",
-					tc.name, q, len(base.Output), len(got.Output))
+				t.Errorf("%s: %v partial output diverged (%d vs %d bytes)",
+					tc.name, leg, len(base.Output), len(got.Output))
 			}
 		}
 	}
@@ -217,8 +238,10 @@ func TestSlicedEquivLimitClasses(t *testing.T) {
 // TestSlicedEquivExclusiveCorpus is the end-to-end leg: every corpus
 // program through the exclusive configuration (NewPool) and through a
 // step-sliced Sched (small quantum, fewer slots than jobs, so grants
-// interleave and preemption actually happens), all four runtime modes.
-// Output, class, exception, and bytecode counts must be identical.
+// interleave and preemption actually happens; half the jobs on lane 1,
+// so lane-0 arrivals reclaim their slots mid-quantum), all four runtime
+// modes. Output, class, exception, and bytecode counts must be
+// identical.
 func TestSlicedEquivExclusiveCorpus(t *testing.T) {
 	corpus, err := difftest.LoadCorpus("../difftest/corpus")
 	if err != nil {
@@ -263,7 +286,7 @@ func TestSlicedEquivExclusiveCorpus(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res := sched.Submit(&Job{Name: name, Src: src, Mode: mode})
+				res := sched.Submit(&Job{Name: name, Src: src, Mode: mode, Lane: int(mode) % 2})
 				mu.Lock()
 				defer mu.Unlock()
 				want := exclusiveRes[key{name, mode}]

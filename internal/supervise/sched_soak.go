@@ -43,8 +43,8 @@ type SchedSoakConfig struct {
 // result matches a fresh exclusive reference run bit-for-bit (no
 // interleaving divergence, no cross-job contamination); errored results
 // never carry another job's output; and under a forced-preemption
-// shape, preemptions actually happened (a soak that never preempted
-// proved nothing).
+// shape, preemptions and mid-quantum reclaims for lane-0 arrivals
+// actually happened (a soak that never preempted proved nothing).
 func SchedSoak(cfg SchedSoakConfig) *SoakResult {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 500
@@ -190,6 +190,13 @@ func SchedSoak(cfg SchedSoakConfig) *SoakResult {
 	if res.Stats.Preempted == 0 && cfg.Jobs >= cfg.Concurrency {
 		res.Violations = append(res.Violations,
 			"soak ran to completion without a single preemption; the interleaving path went untested")
+	}
+	// A reclaim needs a lane-0 arrival behind a running lane-1 job, which
+	// the first wave — every submitter at once — rarely produces; a soak
+	// of ten waves always has.
+	if res.Stats.Reclaimed == 0 && cfg.Jobs >= 10*cfg.Concurrency {
+		res.Violations = append(res.Violations,
+			"no lane-0 arrival ever reclaimed a lane-1 job's slot; the mid-quantum yield went untested")
 	}
 	return res
 }

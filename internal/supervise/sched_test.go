@@ -236,6 +236,93 @@ func TestSchedPriorityLanes(t *testing.T) {
 	}
 }
 
+// TestSchedReclaimsSlotAtArrival: a lane-0 job arriving while a lane-1
+// job holds the only slot runs at the lane-1 job's next preemption
+// check, not at the end of its quantum — here longer than the whole job,
+// so without the reclaim the lane-0 job would wait for it to finish. A
+// lane-1 arrival reclaims nothing.
+func TestSchedReclaimsSlotAtArrival(t *testing.T) {
+	s := NewSched(SchedConfig{
+		Slots:         1,
+		Lanes:         2,
+		QuantumSteps:  1 << 40,
+		DefaultLimits: schedTestLimits(),
+	})
+	defer s.Close()
+
+	const bgN, fgN = 300_000, 1_000
+	bg := make(chan *JobResult, 2)
+	submitBg := func() {
+		bg <- s.Submit(&Job{Name: "bg.py", Src: loopSrc(bgN), Mode: runtime.CPython, Lane: 1})
+	}
+	go submitBg()
+	waitStats(t, s, "lane-1 job granted", func(st Stats) bool { return st.Idle == 0 })
+	go submitBg()
+	waitStats(t, s, "lane-1 job queued", func(st Stats) bool { return st.Queued == 1 })
+	if st := s.Stats(); st.Reclaimed != 0 {
+		t.Fatalf("a lane-1 arrival reclaimed the slot from a lane-1 job: %+v", st)
+	}
+
+	fg := s.Submit(&Job{Name: "fg.py", Src: loopSrc(fgN), Mode: runtime.CPython})
+	if fg.Class != ClassOK || fg.Output != loopSum(fgN) {
+		t.Fatalf("lane-0 job: class %s output %q err %q", fg.Class, fg.Output, fg.Err)
+	}
+	select {
+	case res := <-bg:
+		t.Fatalf("a lane-1 job finished (%d preemptions) before the lane-0 job it should have yielded to",
+			res.Preemptions)
+	default:
+	}
+	preempted := 0
+	for i := 0; i < 2; i++ {
+		res := <-bg
+		if res.Class != ClassOK || res.Output != loopSum(bgN) {
+			t.Fatalf("lane-1 job: class %s output %q err %q", res.Class, res.Output, res.Err)
+		}
+		preempted += res.Preemptions
+	}
+	if st := s.Stats(); st.Reclaimed != 1 || st.Preempted != 1 || preempted != 1 {
+		t.Fatalf("want exactly one (reclaimed) preemption, got %d on results, stats %+v", preempted, st)
+	}
+}
+
+// TestSchedReclaimsFromLowestLane: the slot reclaimed for a lane-0
+// arrival is the lowest lane's, and one arrival reclaims one slot.
+func TestSchedReclaimsFromLowestLane(t *testing.T) {
+	s := NewSched(SchedConfig{
+		Slots:         2,
+		Lanes:         3,
+		QuantumSteps:  1 << 40,
+		DefaultLimits: schedTestLimits(),
+	})
+	defer s.Close()
+
+	const bgN = 300_000
+	byLane := make(chan [2]int, 2) // {lane, preemptions}
+	for lane := 1; lane <= 2; lane++ {
+		go func(lane int) {
+			res := s.Submit(&Job{Name: "bg.py", Src: loopSrc(bgN), Mode: runtime.CPython, Lane: lane})
+			if res.Class != ClassOK || res.Output != loopSum(bgN) {
+				t.Errorf("lane-%d job: class %s output %q err %q", lane, res.Class, res.Output, res.Err)
+			}
+			byLane <- [2]int{lane, res.Preemptions}
+		}(lane)
+	}
+	waitStats(t, s, "both slots granted", func(st Stats) bool { return st.Idle == 0 })
+	if fg := s.Submit(&Job{Name: "fg.py", Src: loopSrc(1_000), Mode: runtime.CPython}); fg.Class != ClassOK {
+		t.Fatalf("lane-0 job: class %s err %q", fg.Class, fg.Err)
+	}
+	for i := 0; i < 2; i++ {
+		r := <-byLane
+		if want := r[0] - 1; r[1] != want {
+			t.Errorf("lane-%d job preempted %d times, want %d", r[0], r[1], want)
+		}
+	}
+	if st := s.Stats(); st.Reclaimed != 1 {
+		t.Fatalf("reclaimed %d slots for one arrival: %+v", st.Reclaimed, st)
+	}
+}
+
 // TestSchedTenantFairness: a tenant flooding the scheduler with long
 // jobs must not starve a light tenant — round robin gives the light
 // tenant's short job a slice every round, so it finishes well
