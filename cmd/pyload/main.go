@@ -1,8 +1,10 @@
-// Command pyload is the serving-stack load generator: it drives a mixed
-// MiniPy corpus (compute kernels + generated programs, each stamped with
-// its fresh-runner expectation) against a /v1/run endpoint and emits a
-// JSON report — latency distribution (p50/p90/p99), throughput, outcome
-// counts, wrong-answer count, and an error-budget verdict.
+// Command pyload is the serving-stack load generator: it points the
+// internal/harness driver at an external /v1/run endpoint with the
+// harness corpus (compute kernels + generated programs, each stamped
+// with its fresh-runner reference) under CPython, the serving tier's
+// default mode, and emits a JSON report
+// — latency distribution (p50/p90/p99), throughput, outcome counts,
+// wrong-answer count, oracle violations and an error-budget verdict.
 //
 // With -baseline the same corpus is also driven against a second
 // endpoint (typically a single pyserve, to measure a router's overhead)
@@ -26,14 +28,14 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/interp"
-	"repro/internal/load"
+	"repro/internal/harness"
+	"repro/internal/runtime"
 )
 
 // comparison is the two-run report shape emitted when -baseline is set.
 type comparison struct {
-	Target   *load.Report `json:"target"`
-	Baseline *load.Report `json:"baseline,omitempty"`
+	Target   *harness.Report `json:"target"`
+	Baseline *harness.Report `json:"baseline,omitempty"`
 	// Overhead deltas of target over baseline, in percent (p50 and p99).
 	OverheadP50Pct float64 `json:"overheadP50Pct,omitempty"`
 	OverheadP99Pct float64 `json:"overheadP99Pct,omitempty"`
@@ -45,12 +47,12 @@ func run() int {
 		baseline = flag.String("baseline", "", "optional second base URL to compare against (overhead measurement)")
 		n        = flag.Int("n", 200, "total requests per run")
 		c        = flag.Int("c", 8, "concurrent in-flight requests")
-		corpusN  = flag.Int("corpus", 24, "corpus size (compute kernels + generated programs)")
+		corpusN  = flag.Int("corpus", 24, "corpus size in programs (compute kernels + generated programs)")
 		seed     = flag.Uint64("seed", 1, "corpus generation and walk seed")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		budget   = flag.Float64("budget", 0, "allowed unbudgeted-failure ratio (error budget)")
 		byRef    = flag.Bool("by-ref", false, "register the corpus via POST /v1/programs first and drive run-by-reference requests (programRef instead of inline src)")
-		minServe = flag.Float64("min-served", 0.9, "minimum fraction of requests actually served (ok or python_error) for the run to pass; budgeted rejections are within contract but a mostly-rejected run is not a usable measurement")
+		minServe = flag.Float64("min-served", 0.9, "minimum fraction of requests actually executed to an answer for the run to pass; budgeted rejections are within contract but a mostly-rejected run is not a usable measurement")
 		out      = flag.String("o", "", "write the JSON report here (default stdout)")
 	)
 	flag.Parse()
@@ -59,35 +61,30 @@ func run() int {
 		return 2
 	}
 
-	// Reference limits for corpus stamping. The step budget doubles as
-	// a cost cap: generated programs that would run long trip it on the
-	// reference runner and are dropped from the corpus, keeping
-	// per-request work in the low milliseconds.
-	lim := interp.Limits{
-		MaxSteps:       2_000_000,
-		MaxHeapBytes:   64 << 20,
-		Deadline:       2 * time.Second,
-		MaxOutputBytes: 1 << 20,
-	}
 	fmt.Fprintf(os.Stderr, "pyload: building %d-program corpus (seed %d)\n", *corpusN, *seed)
-	corpus := load.MixedCorpus(*corpusN, *seed, lim)
+	// CPython only, the mode serve runs when a request names none: the
+	// latency and overhead figures then measure the serving tier over
+	// one interpreter, not over a mix of modes.
+	var corpus []harness.Program
+	for _, p := range harness.Corpus(*corpusN, *seed) {
+		if p.Mode == runtime.CPython {
+			corpus = append(corpus, p)
+		}
+	}
 	if len(corpus) == 0 {
 		fmt.Fprintln(os.Stderr, "pyload: corpus generation produced nothing")
 		return 1
 	}
 
-	drive := func(url string) (*load.Report, error) {
+	drive := func(url string) (*harness.Report, error) {
 		fmt.Fprintf(os.Stderr, "pyload: %d requests x %d concurrent -> %s\n", *n, *c, url)
-		return load.Run(load.Config{
-			Target:              url,
-			Corpus:              corpus,
-			Concurrency:         *c,
-			Requests:            *n,
-			Timeout:             *timeout,
-			Seed:                *seed,
-			AllowedFailureRatio: *budget,
-			ByRef:               *byRef,
-		})
+		t := harness.NewHTTP(url, *c, *timeout)
+		if *byRef {
+			if err := t.Register(corpus); err != nil {
+				return nil, err
+			}
+		}
+		return harness.Drive(t, corpus, harness.Config{Requests: *n, Concurrency: *c, Seed: *seed, Budget: *budget}), nil
 	}
 
 	rep, err := drive(*target)
@@ -128,13 +125,12 @@ func run() int {
 		return 1
 	}
 
-	verdict := func(name string, r *load.Report) (ok bool) {
-		served := float64(r.Outcomes["ok"]+r.Outcomes["python_error"]) / float64(r.Requests)
+	verdict := func(name string, r *harness.Report) (ok bool) {
+		served := float64(r.Served) / float64(r.Requests)
 		switch {
-		case r.WrongAnswers != 0:
-			fmt.Fprintf(os.Stderr, "pyload: FAIL (%s: %d wrong answers)\n", name, r.WrongAnswers)
-		case !r.WithinBudget:
-			fmt.Fprintf(os.Stderr, "pyload: FAIL (%s: unbudgeted failure ratio %.3f exceeds budget %.3f)\n", name, r.FailureRatio, r.AllowedFailureRatio)
+		case !r.Ok():
+			fmt.Fprintf(os.Stderr, "pyload: FAIL (%s: %d violations, %d wrong answers, unbudgeted failure ratio %.3f, budget %.3f)\n",
+				name, len(r.Violations), r.WrongAnswers, r.FailureRatio, r.AllowedFailureRatio)
 		case served < *minServe:
 			// A run where most requests were rejected (shed, no backends)
 			// is within the error budget but measures nothing.

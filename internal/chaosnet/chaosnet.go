@@ -12,8 +12,8 @@
 //
 // chaosnet exists to prove a negative: that no byte-level damage can
 // surface as a wrong answer or a duplicate execution. The serving tiers'
-// end-to-end digests and the dedup layer are the mechanisms; the router
-// chaos soak (internal/route.Soak with ByteChaos) is the proof.
+// end-to-end digests and the dedup layer are the mechanisms; the route
+// stack soak with bytes chaos (internal/harness) is the proof.
 package chaosnet
 
 import (

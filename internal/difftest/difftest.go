@@ -18,6 +18,10 @@ package difftest
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/jit"
 )
@@ -43,18 +47,19 @@ type Options struct {
 	// FaultRate, when nonzero, switches the run to chaos mode: the leg
 	// matrix becomes ChaosLegs (unfaulted baseline + faulted legs) with
 	// every fault kind firing at probability 1/FaultRate per site.
+	// Quicken, FaultRate and Progstore each select one focused matrix;
+	// Matrix rejects more than one.
 	FaultRate uint64
 	// FaultSeed seeds the chaos injectors (default: Seed).
 	FaultSeed uint64
 	// Quicken switches the run to the quickening-focused leg matrix
 	// (QuickenLegs): cold interpreter, inline-cache flush churn, and a
-	// JIT leg against the quickened baseline. Ignored when FaultRate is
-	// set (chaos mode owns the matrix).
+	// JIT leg against the quickened baseline.
 	Quicken bool
 	// Progstore switches the run to the program-store leg matrix
 	// (ProgstoreLegs): store-cold, IC-seed warm start, eviction/
 	// recompile churn, and SeedCorrupt injection on the seed import
-	// path. Takes precedence over Quicken and FaultRate.
+	// path.
 	Progstore bool
 	// Progress, when non-nil, is called after each program with the
 	// number checked so far.
@@ -109,56 +114,106 @@ func Run(seed uint64, n int) (*Report, error) {
 	return RunWith(Options{Seed: seed, N: n})
 }
 
-// RunWith executes a fuzzing run per opts.
-func RunWith(opts Options) (*Report, error) {
-	legs := Legs(opts.Nurseries, opts.MutateJIT)
+// Matrix returns the leg matrix opts selects: Legs by default, or the
+// one focused matrix that Quicken, FaultRate or Progstore names. Naming
+// more than one, or tuning the default matrix (Nurseries, MutateJIT)
+// alongside a focused one, is an error rather than a silent precedence.
+func (opts Options) Matrix() ([]Leg, error) {
+	fseed := opts.FaultSeed
+	if fseed == 0 {
+		fseed = opts.Seed
+	}
+	var focused []string
+	var legs []Leg
 	if opts.Quicken {
-		legs = QuickenLegs()
+		focused, legs = append(focused, "quicken"), QuickenLegs()
 	}
 	if opts.FaultRate != 0 {
-		fseed := opts.FaultSeed
-		if fseed == 0 {
-			fseed = opts.Seed
-		}
-		legs = ChaosLegs(fseed, opts.FaultRate)
+		focused, legs = append(focused, "faults"), ChaosLegs(fseed, opts.FaultRate)
 	}
 	if opts.Progstore {
-		fseed := opts.FaultSeed
-		if fseed == 0 {
-			fseed = opts.Seed
-		}
-		legs = ProgstoreLegs(fseed)
+		focused, legs = append(focused, "progstore"), ProgstoreLegs(fseed)
 	}
-	rep := &Report{Legs: len(legs)}
-	for i := 0; i < opts.N; i++ {
-		seed := opts.Seed + uint64(i)
-		src := Generate(seed)
-		name := fmt.Sprintf("fuzz_seed%d.py", seed)
-		divs, invs, stats, err := CheckProgram(legs, name, src, opts.Budget)
-		if err != nil {
-			return rep, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rep.Stats.FaultsFired += stats.FaultsFired
-		rep.Stats.Deopts += stats.Deopts
-		rep.Stats.ErrorDeopts += stats.ErrorDeopts
-		rep.Stats.TracesAborted += stats.TracesAborted
-		// One shrink per program: legs usually disagree for the same
-		// root cause, and shrinking is by far the most expensive step.
-		var minimized string
-		for di, d := range divs {
-			d.Seed = seed
-			if di == 0 {
-				minimized = minimize(legs, d, opts.Budget)
-			}
-			d.Minimized = minimized
-			if opts.CorpusDir != "" && di == 0 {
-				if p, werr := WriteRepro(opts.CorpusDir, &d); werr == nil {
-					rep.ReproPaths = append(rep.ReproPaths, p)
+	switch {
+	case len(focused) > 1:
+		return nil, fmt.Errorf("difftest: %s are mutually exclusive", strings.Join(focused, ", "))
+	case len(focused) == 1 && (len(opts.Nurseries) != 0 || opts.MutateJIT != nil):
+		return nil, fmt.Errorf("difftest: nursery sizes and JIT mutation apply to the default matrix, not %s", focused[0])
+	case len(focused) == 1:
+		return legs, nil
+	}
+	return Legs(opts.Nurseries, opts.MutateJIT), nil
+}
+
+// RunWith executes a fuzzing run per opts. Programs are checked on
+// GOMAXPROCS workers; results, reproducers and Progress calls are merged
+// in seed order, so the report does not depend on the worker count.
+func RunWith(opts Options) (*Report, error) {
+	legs, err := opts.Matrix()
+	if err != nil {
+		return nil, err
+	}
+	type checked struct {
+		divs  []Divergence
+		invs  []string
+		stats ProgramStats
+		err   error
+		done  chan struct{}
+	}
+	results := make([]checked, opts.N)
+	for i := range results {
+		results[i].done = make(chan struct{})
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < opts.N && !stop.Load(); i = int(next.Add(1) - 1) {
+				r := &results[i]
+				seed := opts.Seed + uint64(i)
+				r.divs, r.invs, r.stats, r.err = CheckProgram(legs, fmt.Sprintf("fuzz_seed%d.py", seed), Generate(seed), opts.Budget)
+				if r.err != nil {
+					r.err = fmt.Errorf("seed %d: %w", seed, r.err)
 				}
+				// One shrink per program: legs usually disagree for the
+				// same root cause, and shrinking is by far the most
+				// expensive step.
+				var minimized string
+				for di := range r.divs {
+					r.divs[di].Seed = seed
+					if di == 0 {
+						minimized = minimize(legs, r.divs[0], opts.Budget)
+					}
+					r.divs[di].Minimized = minimized
+				}
+				close(r.done)
 			}
-			rep.Divergences = append(rep.Divergences, d)
+		}()
+	}
+	defer wg.Wait()
+	defer stop.Store(true)
+
+	rep := &Report{Legs: len(legs)}
+	for i := range results {
+		r := &results[i]
+		<-r.done
+		if r.err != nil {
+			return rep, r.err
 		}
-		rep.InvariantFailures = append(rep.InvariantFailures, invs...)
+		rep.Stats.FaultsFired += r.stats.FaultsFired
+		rep.Stats.Deopts += r.stats.Deopts
+		rep.Stats.ErrorDeopts += r.stats.ErrorDeopts
+		rep.Stats.TracesAborted += r.stats.TracesAborted
+		if opts.CorpusDir != "" && len(r.divs) > 0 {
+			if p, werr := WriteRepro(opts.CorpusDir, &r.divs[0]); werr == nil {
+				rep.ReproPaths = append(rep.ReproPaths, p)
+			}
+		}
+		rep.Divergences = append(rep.Divergences, r.divs...)
+		rep.InvariantFailures = append(rep.InvariantFailures, r.invs...)
 		rep.Programs++
 		if opts.Progress != nil {
 			opts.Progress(rep.Programs)

@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"encoding/json"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,8 +47,8 @@ func TestInjectedGuardBugCaught(t *testing.T) {
 		// The generator finds the bug within a few dozen seeds (seed 11
 		// in this range triggers it).
 		rep, err := RunWith(Options{
-			Seed:      1,
-			N:         15,
+			Seed:      92,
+			N:         8,
 			Nurseries: []uint64{4 << 20},
 			MutateJIT: breakGuards,
 		})
@@ -428,6 +430,88 @@ print(hot(1500))
 			doctor(&bad)
 			if d := armedDiff(a, &bad); !strings.Contains(d, want) {
 				t.Errorf("%s: doctored %q not flagged: %q", twin.Name, want, d)
+			}
+		}
+	}
+}
+
+// TestParallelReportMatchesSerial: checking seeds on several workers
+// changes nothing a caller sees. The serial and parallel reports over a
+// MutateJIT-broken range (divergences, shrinking and reproducer writes
+// included) are byte-identical, and Progress counts up in seed order.
+// Of seeds 92-99 only 92 and 99 diverge under the broken guards, and 92
+// takes ~5x longer to shrink, so a merge in completion order rather
+// than seed order shows.
+func TestParallelReportMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 8-program runs with two shrinks each in -short mode")
+	}
+	dir := t.TempDir()
+	run := func(procs int) string {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		var progress []int
+		rep, err := RunWith(Options{
+			Seed:      92,
+			N:         8,
+			Nurseries: []uint64{4 << 20},
+			MutateJIT: func(c *jit.Config) { c.BrokenGuards = true },
+			CorpusDir: dir,
+			Progress:  func(done int) { progress = append(progress, done) },
+		})
+		if err != nil {
+			t.Fatalf("RunWith: %v", err)
+		}
+		for i, done := range progress {
+			if done != i+1 {
+				t.Fatalf("GOMAXPROCS=%d: Progress calls %v, want 1..8 in order", procs, progress)
+			}
+		}
+		if len(rep.ReproPaths) != 2 || rep.Divergences[0].Minimized == "" {
+			t.Fatalf("GOMAXPROCS=%d: %d reproducers, want a shrunk one for each of seeds 92 and 99", procs, len(rep.ReproPaths))
+		}
+		out, _ := json.Marshal(rep)
+		return string(out)
+	}
+	serial, parallel := run(1), run(4)
+	if serial != parallel {
+		t.Fatalf("parallel report differs from serial:\nserial:   %s\nparallel: %s", serial, parallel)
+	}
+}
+
+// TestMatrixSelection: Options name one leg matrix or fail; no mode is
+// silently dropped for another.
+func TestMatrixSelection(t *testing.T) {
+	mutate := func(*jit.Config) {}
+	for _, c := range []struct {
+		name string
+		opts Options
+		want []Leg // nil: an error
+	}{
+		{"default", Options{}, Legs(nil, nil)},
+		{"nurseries", Options{Nurseries: []uint64{64 << 10}}, Legs([]uint64{64 << 10}, nil)},
+		{"quicken", Options{Quicken: true}, QuickenLegs()},
+		{"faults", Options{Seed: 3, FaultRate: 200}, ChaosLegs(3, 200)},
+		{"faults-seed", Options{Seed: 3, FaultRate: 200, FaultSeed: 9}, ChaosLegs(9, 200)},
+		{"progstore", Options{Seed: 5, Progstore: true}, ProgstoreLegs(5)},
+		{"quicken+faults", Options{Quicken: true, FaultRate: 200}, nil},
+		{"progstore+quicken", Options{Progstore: true, Quicken: true}, nil},
+		{"progstore+faults", Options{Progstore: true, FaultRate: 200}, nil},
+		{"quicken+nurseries", Options{Quicken: true, Nurseries: []uint64{64 << 10}}, nil},
+		{"faults+mutate", Options{FaultRate: 200, MutateJIT: mutate}, nil},
+	} {
+		legs, err := c.opts.Matrix()
+		if (err != nil) != (c.want == nil) {
+			t.Errorf("%s: Matrix() error %v, want error %v", c.name, err, c.want == nil)
+			continue
+		}
+		if len(legs) != len(c.want) {
+			t.Errorf("%s: %d legs, want %d", c.name, len(legs), len(c.want))
+			continue
+		}
+		for i := range legs {
+			if legs[i].Name != c.want[i].Name || (legs[i].Chaos == nil) != (c.want[i].Chaos == nil) ||
+				(legs[i].Chaos != nil && legs[i].Chaos.Seed != c.want[i].Chaos.Seed) {
+				t.Errorf("%s: leg %d is %s, want %s", c.name, i, legs[i].Name, c.want[i].Name)
 			}
 		}
 	}

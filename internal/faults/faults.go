@@ -53,21 +53,6 @@ const (
 	// identical program-visible behaviour — the chain only ever elides
 	// lookup work, never changes its result.
 	GuardChainCorrupt
-	// BackendDown kills a serving replica behind the router mid-run: the
-	// node stops accepting connections until revived (or for good). The
-	// router must eject it after its failure threshold and keep serving
-	// from the survivors with zero wrong answers.
-	BackendDown
-	// BackendSlow wedges a serving replica: requests hang past the
-	// router's upstream timeout instead of failing fast. Unlike a dead
-	// node it consumes a full timeout before the failure is visible —
-	// the router's health prober must still eject it.
-	BackendSlow
-	// BackendFlap bounces a replica between down and up, the worst case
-	// for eject/readmit hysteresis: the router's readmit breaker must
-	// hold a flapping node out rather than feed it live traffic on every
-	// brief recovery.
-	BackendFlap
 	// NetReset hard-closes a proxied TCP connection mid-stream (RST, not
 	// FIN): the peer sees "connection reset" partway through an exchange.
 	// The serving tiers must treat it as a mid-flight failure — never a
@@ -101,7 +86,6 @@ const (
 
 var kindNames = [NumKinds]string{"alloc-fail", "nursery-exhaust", "guard-corrupt", "trace-compile-fail",
 	"worker-wedge", "guard-chain-corrupt",
-	"backend-down", "backend-slow", "backend-flap",
 	"net-reset", "net-stall", "net-truncate", "net-corrupt", "net-delay",
 	"seed-corrupt"}
 

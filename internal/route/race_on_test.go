@@ -3,6 +3,5 @@
 package route
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. The chaos soak couples fault cadence to wall clock and is
-// skipped under the detector's slowdown (see soak_test.go).
+// detector. Timing guards are skipped under the detector's slowdown.
 const raceEnabled = true

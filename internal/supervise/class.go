@@ -9,11 +9,11 @@
 // a RetryAfter hint, plus graceful drain for shutdown. The exclusive
 // worker pool is a configuration of the same scheduler (NewPool).
 //
-// cmd/pyserve exposes it over HTTP/JSON; the SchedSoak harness (used by
-// cmd/pyfuzz -sched) attacks it with injected wedges and forced
-// preemption and verifies the invariant: faults never take the scheduler
-// down, never cross-contaminate another job's output, and always surface
-// as a well-formed error class.
+// cmd/pyserve exposes it over HTTP/JSON; the soak harness's sched stack
+// (internal/harness, cmd/pyfuzz -stack sched) attacks it with injected
+// wedges and forced preemption and verifies the invariant: faults never
+// take the scheduler down, never cross-contaminate another job's output,
+// and always surface as a well-formed error class.
 package supervise
 
 import (

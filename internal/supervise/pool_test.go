@@ -441,3 +441,11 @@ func TestShedAfterWaitRecordsQueueWait(t *testing.T) {
 		t.Fatalf("in-flight job through drain: %s (%q)", r.Class, r.Err)
 	}
 }
+
+// clip bounds an output string for failure messages.
+func clip(s string) string {
+	if len(s) > 160 {
+		return s[:160] + "..."
+	}
+	return s
+}

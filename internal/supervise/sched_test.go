@@ -697,43 +697,3 @@ func TestSchedPreemptionChurnRace(t *testing.T) {
 		t.Error(e)
 	}
 }
-
-// TestSchedSoakClean: the scheduler-chaos soak with no faults armed is a
-// pure interleaving-conformance run — zero violations, and the forced-
-// preemption shape must actually preempt.
-func TestSchedSoakClean(t *testing.T) {
-	res := SchedSoak(SchedSoakConfig{Seed: 1, Jobs: 60})
-	if !res.Ok() {
-		t.Fatalf("clean sched soak violations: %v", res.Violations)
-	}
-	if res.Stats.Preempted == 0 {
-		t.Fatalf("clean sched soak never preempted: %+v", res.Stats)
-	}
-}
-
-// TestSchedSoakUnderWedgeFaults: injected wedges may cost the wedged
-// job, but never the scheduler, never another job's output.
-func TestSchedSoakUnderWedgeFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak in -short mode")
-	}
-	res := SchedSoak(SchedSoakConfig{
-		Seed:        7,
-		Jobs:        120,
-		WedgeEveryN: 40,
-		// A tight deadline shrinks the wedge horizon (2x deadline +
-		// slack), so injected wedges resolve in ~1s instead of ~10s.
-		// Parked time is credited back, so honest jobs don't trip it.
-		Limits: interp.Limits{
-			MaxSteps:     2_000_000,
-			MaxHeapBytes: 64 << 20,
-			Deadline:     500 * time.Millisecond,
-		},
-	})
-	if !res.Ok() {
-		t.Fatalf("sched soak violations: %v", res.Violations)
-	}
-	if res.Stats.Wedged == 0 {
-		t.Fatalf("wedge schedule never fired; soak proves nothing: %+v", res.Stats)
-	}
-}
