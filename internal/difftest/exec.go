@@ -72,6 +72,13 @@ type Leg struct {
 	// unarmed twin's bytecode count, net refcounts and every other
 	// runtime counter exactly.
 	ArmedTwin string
+	// ReusedTwin, when set, runs this leg on a reused VM: a prefix
+	// program (generated from a seed derived from the program under
+	// test, cut off mid-run by a small bytecode budget about half the
+	// time) runs first, then interp.VM.Reset restores the VM. It names
+	// the fresh-VM leg this one is otherwise identical to, whose
+	// outcome, runtime counters included, it must reproduce exactly.
+	ReusedTwin string
 	// Deadline is the leg's hard wall-clock guard, armed through
 	// interp.Limits.Deadline (default DefaultLegDeadline). A wedged leg
 	// — looping forever without tripping the bytecode budget, e.g. stuck
@@ -124,12 +131,16 @@ func Legs(nurseries []uint64, mutate func(*jit.Config)) []Leg {
 		{Name: "progstore-seeded", Heap: gc.DefaultRefCountConfig(), ProgStore: "seeded"},
 		{Name: "progstore-evict-churn", Heap: gc.DefaultRefCountConfig(), ProgStore: "evict-churn"},
 	}
-	var armed Leg
+	var armed, reusedGen Leg
 	for _, n := range nurseries {
-		legs = append(legs, Leg{
-			Name: fmt.Sprintf("pypy-nojit/%dk", n>>10),
-			Heap: gc.DefaultGenConfig(n),
-		})
+		nojit := Leg{Name: fmt.Sprintf("pypy-nojit/%dk", n>>10), Heap: gc.DefaultGenConfig(n)}
+		legs = append(legs, nojit)
+		if reusedGen.Name == "" {
+			// One generational leg on a reused VM: pypy-nojit at the
+			// first nursery size.
+			reusedGen = nojit
+			reusedGen.Name, reusedGen.ReusedTwin = "reused-gen", nojit.Name
+		}
 		for _, m := range []struct {
 			name string
 			cfg  jit.Config
@@ -155,7 +166,10 @@ func Legs(nurseries []uint64, mutate func(*jit.Config)) []Leg {
 			}
 		}
 	}
-	return append(legs, armed)
+	// Reused-VM legs: a prefix program and VM.Reset before the run
+	// must leave no trace.
+	reused := Leg{Name: "reused", Heap: gc.DefaultRefCountConfig(), ReusedTwin: "cpython"}
+	return append(legs, armed, reused, reusedGen)
 }
 
 // QuickenLegs builds the quickening-focused leg matrix (pyfuzz -quicken):
@@ -229,6 +243,10 @@ func Execute(leg Leg, name, src string, budget uint64) (*Outcome, error) {
 	vm := interp.New(emit.NewEngine(sink), leg.Heap, &out)
 	if budget == 0 {
 		budget = DefaultBudget
+	}
+	if leg.ReusedTwin != "" {
+		runPrefix(vm, name+src)
+		out.Reset()
 	}
 	vm.MaxBytecodes = budget
 	if leg.NoQuicken {
@@ -328,6 +346,28 @@ func Execute(leg Leg, name, src string, budget uint64) (*Outcome, error) {
 		o.FaultsFired = inj.TotalFired()
 	}
 	return o, nil
+}
+
+// prefixBudget bounds a reused leg's prefix run. Generated programs
+// typically finish in about 10^5 bytecodes; the few that run to the
+// oracle's budget would otherwise cost seconds per leg.
+const prefixBudget = 2_000_000
+
+// runPrefix runs a generated program on vm and restores it with Reset.
+// Its seed derives from key; about half the time a small seeded
+// bytecode budget cuts it off mid-run, so it leaves live frames, grace
+// counters and half-built objects for Reset to undo.
+func runPrefix(vm *interp.VM, key string) {
+	seed := fnv1a(key)
+	vm.MaxBytecodes = prefixBudget
+	if seed&1 == 0 {
+		vm.MaxBytecodes = 200 + (seed>>1)%20_000
+	}
+	vm.SetLimits(interp.Limits{Deadline: DefaultLegDeadline})
+	if code, err := pycompile.CompileSource("prefix.py", Generate(seed)); err == nil {
+		_ = vm.RunCode(code)
+	}
+	vm.Reset()
 }
 
 // CanonGlobals renders a module's final global bindings in a canonical,

@@ -56,6 +56,15 @@ func armedDiff(twin, got *Outcome) string {
 	return ""
 }
 
+// reusedDiff describes the first way a reused-VM leg's outcome departs
+// from its fresh-VM twin's beyond what diffOutcomes compares, or "".
+func reusedDiff(twin, got *Outcome) string {
+	if twin.Snap != got.Snap {
+		return fmt.Sprintf("runtime counters: fresh VM %+v, reused VM %+v", twin.Snap, got.Snap)
+	}
+	return ""
+}
+
 // firstLineDiff pinpoints the first differing line between two multi-line
 // strings.
 func firstLineDiff(what, a, b string) string {
@@ -142,6 +151,9 @@ func CheckProgram(legs []Leg, name, src string, budget uint64) (divs []Divergenc
 		}
 		if twin := outcomes[leg.ArmedTwin]; d == "" && twin != nil {
 			d = armedDiff(twin, got)
+		}
+		if twin := outcomes[leg.ReusedTwin]; d == "" && twin != nil {
+			d = reusedDiff(twin, got)
 		}
 		if d != "" {
 			divs = append(divs, Divergence{Leg: leg.Name, Desc: d, Program: src})

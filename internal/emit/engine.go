@@ -61,6 +61,20 @@ func NewEngine(sink isa.Sink) *Engine {
 	return e
 }
 
+// Reset returns the engine to the state NewEngine left it in, keeping
+// its sink: phase, C-library flag and program counter cleared, the
+// simulated call stack and the C stack empty. A run that aborted
+// mid-call leaves frames behind; a reused VM calls this before its next
+// run so the stream restarts where a fresh engine's would.
+func (e *Engine) Reset() {
+	e.phase, e.clib, e.base, e.off = 0, false, 0, 0
+	if cap(e.frames) > 64 {
+		e.frames = make([]frame, 0, 64)
+	}
+	e.frames = e.frames[:0]
+	e.cstack.Reset()
+}
+
 // SetSink redirects the event stream and re-derives Armed from the new
 // sink. Swap sinks only between top-level runs, where the simulated call
 // stack is empty: an unarmed engine does not track calls, so arming one

@@ -364,3 +364,76 @@ func TestTickPolledAtCollectionEntry(t *testing.T) {
 		t.Error("tick not polled during collection")
 	}
 }
+
+// TestImmortalHeadersUnread pins what lets a reused VM leave immortal
+// headers as a job left them: reference counting moves an immortal's RC
+// but never frees it or counts a bad decref, and neither collector sets
+// Old, Mark or Remembered on it.
+func TestImmortalHeadersUnread(t *testing.T) {
+	h, _ := newHeap(DefaultRefCountConfig())
+	imm := &pyobj.Int{H: pyobj.Header{Addr: mem.DataBase, Size: 24, Immortal: true}, V: 7}
+	for i := 0; i < 3; i++ {
+		h.Decref(imm)
+	}
+	l := &pyobj.List{Items: []pyobj.Object{imm}}
+	h.Allocate(l, core.Execute)
+	h.Decref(l) // the list dies and decrefs its immortal item
+	if imm.H.Mark || h.Stats.Frees != 1 || h.Stats.BadDecrefs != 0 {
+		t.Fatalf("refcounting read an immortal's RC: mark=%v %+v", imm.H.Mark, h.Stats)
+	}
+
+	g, roots := newHeap(DefaultGenConfig(MinNursery))
+	imm = &pyobj.Int{H: pyobj.Header{Addr: mem.DataBase, Size: 24, Immortal: true}, V: 7}
+	old := &pyobj.List{Items: []pyobj.Object{imm}}
+	g.Allocate(old, core.Execute)
+	roots.objs = []pyobj.Object{old, imm}
+	g.CollectMinor() // promotes old
+	g.WriteBarrier(old, imm)
+	g.WriteBarrier(imm, old)
+	g.CollectMinor()
+	g.CollectMajor()
+	if imm.H != (pyobj.Header{Addr: mem.DataBase, Size: 24, Immortal: true}) {
+		t.Fatalf("a collector wrote an immortal's header: %+v", imm.H)
+	}
+}
+
+// TestHeapResetRepeatsAddresses: after a workload with frees and
+// collections, Reset leaves a heap that hands out the same addresses
+// and counts the same statistics as a new one.
+func TestHeapResetRepeatsAddresses(t *testing.T) {
+	for _, cfg := range []Config{DefaultRefCountConfig(), DefaultGenConfig(MinNursery)} {
+		work := func(h *Heap, roots *rootList) ([]uint64, Stats) {
+			var addrs []uint64
+			roots.objs = nil
+			for i := 0; i < 400; i++ {
+				o := &pyobj.List{Items: make([]pyobj.Object, i%7)}
+				h.Allocate(o, core.Execute)
+				o.ItemsAddr = h.AllocPayload(uint64(8*(i%7)), core.Execute)
+				addrs = append(addrs, o.H.Addr, o.ItemsAddr)
+				if i%3 == 0 {
+					roots.objs = append(roots.objs, o)
+				} else {
+					h.Decref(o)
+				}
+			}
+			h.CollectMinor()
+			return addrs, h.Stats
+		}
+		fresh, froots := newHeap(cfg)
+		wantAddrs, wantStats := work(fresh, froots)
+		h, roots := newHeap(cfg)
+		work(h, roots)
+		h.SetLimit(1 << 30)
+		h.BeginGrace()
+		h.Reset()
+		gotAddrs, gotStats := work(h, roots)
+		if gotStats != wantStats {
+			t.Errorf("kind %d: stats after Reset %+v, fresh %+v", cfg.Kind, gotStats, wantStats)
+		}
+		for i := range wantAddrs {
+			if gotAddrs[i] != wantAddrs[i] {
+				t.Fatalf("kind %d: address %d after Reset %#x, fresh %#x", cfg.Kind, i, gotAddrs[i], wantAddrs[i])
+			}
+		}
+	}
+}

@@ -217,6 +217,44 @@ func New(cfg Config, eng *emit.Engine, cspace *emit.CodeSpace) *Heap {
 	return h
 }
 
+// retainObjs bounds the object lists Reset keeps for reuse: a list whose
+// capacity grew past it is dropped instead, so a reused heap never keeps
+// its largest job's memory.
+const retainObjs = 4096
+
+// Reset returns the heap to the state New left it in, keeping its
+// configuration, code addresses, root provider and OOM and tick hooks:
+// every arena rewinds to its base and its free lists empty, the object
+// lists are emptied with their elements cleared (so the last job's
+// objects can be collected), and the governor state (limit, grace,
+// fault injector) and Stats are zeroed. A VM calls it to reuse its heap
+// for the next job; simulated addresses then repeat exactly.
+func (h *Heap) Reset() {
+	switch h.cfg.Kind {
+	case RefCount:
+		h.rcFree.Reset()
+	case Generational:
+		h.nursery.Reset()
+		h.oldFree.Reset()
+	}
+	h.young = rewound(h.young)
+	h.oldObjs = rewound(h.oldObjs)
+	h.remember = rewound(h.remember)
+	h.liveAfter, h.oldAlloc = 0, 0
+	h.limit, h.grace, h.faultInj, h.inEmergency = 0, 0, nil, false
+	h.Stats = Stats{}
+}
+
+// rewound empties s for reuse, clearing its whole backing array; a
+// slice that grew past retainObjs is dropped.
+func rewound(s []pyobj.Object) []pyobj.Object {
+	if cap(s) > retainObjs {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // ---- Resource governor ----
 
 // SetLimit caps the heap's live footprint at bytes (0 = unlimited). When

@@ -454,3 +454,40 @@ func TestConcurrentVMConstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestResetDropsGrownMaps: Reset empties the interned-string map in
+// place after an ordinary job, but replaces it (and keeps no reference
+// to the old one) after a job that interned more than retainEntries
+// strings, so a reused VM does not keep its largest job's memory.
+func TestResetDropsGrownMaps(t *testing.T) {
+	vm := New(emit.NewEngine(isa.NullSink{}), gc.DefaultRefCountConfig(), &strings.Builder{})
+	base := len(vm.interned)
+	mapID := func() string { return fmt.Sprintf("%p", vm.interned) }
+
+	small := mapID()
+	if err := vm.RunSource("small.py", "y = 'a-job-string'\n"); err != nil {
+		t.Fatal(err)
+	}
+	vm.Reset()
+	if mapID() != small || len(vm.interned) != base {
+		t.Fatalf("after a small job: map replaced=%v, %d entries, want %d", mapID() != small, len(vm.interned), base)
+	}
+
+	var src strings.Builder
+	src.WriteString("xs = [")
+	for i := 0; i < 2*retainEntries; i++ {
+		fmt.Fprintf(&src, "'s%d', ", i)
+	}
+	src.WriteString("]\n")
+	if err := vm.RunSource("big.py", src.String()); err != nil {
+		t.Fatal(err)
+	}
+	vm.Reset()
+	if mapID() == small || len(vm.interned) != base || vm.internLog != nil {
+		t.Fatalf("after a big job: map replaced=%v, %d entries (want %d), log %d",
+			mapID() != small, len(vm.interned), base, len(vm.internLog))
+	}
+	if vm.pristine.interned != nil || vm.pristine.constCache != nil {
+		t.Fatal("the pristine copy keeps a map Reset manages")
+	}
+}

@@ -81,6 +81,9 @@ type VM struct {
 	smallInts [smallIntMax - smallIntMin + 1]*pyobj.Int
 	interned  map[string]*pyobj.Str
 	emptyStr  *pyobj.Str
+	// internLog lists the strings interned since New, which Reset
+	// removes from interned (their data-segment addresses are reissued).
+	internLog []string
 
 	// Namespaces.
 	Builtins *pyobj.Dict
@@ -170,6 +173,11 @@ type VM struct {
 
 	// Counters.
 	Stats VMStats
+
+	// Restore state (Reset): a copy of this struct as New left it, and
+	// the region cursors at that point.
+	pristine                                *VM
+	dataMark, interpMark, clibMark, jitMark uint64
 }
 
 // VMStats counts interpreter activity.
@@ -274,7 +282,83 @@ func New(eng *emit.Engine, heapCfg gc.Config, stdout io.Writer) *VM {
 	vm.Builtins = vm.newImmortalDict()
 	vm.registerBuiltins()
 	vm.Globals = nil // created per module run
+	vm.seal()
 	return vm
+}
+
+// retainEntries bounds the per-job maps and logs Reset empties in place;
+// one that grew past it is dropped instead, so a reused VM never keeps
+// its largest job's memory.
+const retainEntries = 1024
+
+// seal records the state Reset restores: the region cursors and a copy
+// of every field.
+func (vm *VM) seal() {
+	vm.dataMark = vm.data.Cur()
+	vm.interpMark = vm.interpSpace.Region().Cur()
+	vm.clibMark = vm.clibSpace.Region().Cur()
+	vm.jitMark = vm.jitSpace.Region().Cur()
+	p := new(VM)
+	*p = *vm
+	// Reset carries these two maps over itself, and may replace them:
+	// the copy must not keep a dropped one alive.
+	p.interned, p.constCache = nil, nil
+	p.pristine = p
+	vm.pristine = p
+}
+
+// Reset returns the VM to the exact state New left it in, without
+// rebuilding it: the next run sees the same simulated addresses, the
+// same counters and the same settings as a run on a fresh VM. Every
+// field is restored from the copy New took (so each Set* knob returns
+// to its default and the JIT tracer is detached); the data, code and
+// JIT regions rewind to their post-New cursors; the heap and the
+// engine's call stacks rewind; and the strings interned and the code
+// objects materialized since New are forgotten.
+//
+// Builtins and the builtin module namespaces are kept as they are:
+// programs cannot write to them (modules reject attribute stores, and
+// no builtin exposes their dicts). Immortal objects' headers are kept as
+// the last job left them: the collectors never set Old, Mark or
+// Remembered on an immortal, and never read its RC.
+func (vm *VM) Reset() {
+	interned, log := vm.rewindInterned()
+	constCache := vm.constCache
+	if len(constCache) > retainEntries {
+		constCache = make(map[*pycode.Code]*codeData)
+	} else {
+		clear(constCache)
+	}
+	*vm = *vm.pristine
+	vm.interned, vm.internLog, vm.constCache = interned, log, constCache
+	vm.data.SetCur(vm.dataMark)
+	vm.interpSpace.Region().SetCur(vm.interpMark)
+	vm.clibSpace.Region().SetCur(vm.clibMark)
+	vm.jitSpace.Region().SetCur(vm.jitMark)
+	vm.Eng.Reset()
+	vm.Heap.Reset()
+}
+
+// rewindInterned removes the strings interned since New from the
+// interned map and returns the map with the emptied log. After a job
+// that interned more than retainEntries strings, it returns a new map
+// of the base strings (those below the post-New data cursor) instead.
+func (vm *VM) rewindInterned() (map[string]*pyobj.Str, []string) {
+	m, log := vm.interned, vm.internLog
+	if len(log) > retainEntries {
+		base := make(map[string]*pyobj.Str, len(m)-len(log))
+		for k, s := range m {
+			if s.H.Addr < vm.dataMark {
+				base[k] = s
+			}
+		}
+		return base, nil
+	}
+	for _, k := range log {
+		delete(m, k)
+	}
+	clear(log)
+	return m, log[:0]
 }
 
 // SetTracer installs the JIT tracer. Superinstruction fusion is
@@ -384,6 +468,9 @@ func (vm *VM) Intern(s string) *pyobj.Str {
 	o := &pyobj.Str{H: pyobj.Header{Addr: vm.dataAlloc(size), Size: uint32(size), Immortal: true}, V: s}
 	o.DataAddr = o.H.Addr + 40
 	vm.interned[s] = o
+	if vm.pristine != nil {
+		vm.internLog = append(vm.internLog, s)
+	}
 	return o
 }
 

@@ -208,9 +208,20 @@ func (f *FreeList) Free(addr, n uint64) {
 // and not yet freed (size-class granularity).
 func (f *FreeList) LiveBytes() uint64 { return f.region.Used() - f.FreeBytes }
 
-// Reset drops all free-list state and rewinds the region.
+// retainClasses bounds the size-class map Reset empties in place; a
+// larger one (a job that freed blocks of many distinct sizes) is
+// dropped, so an allocator never keeps its largest job's table.
+const retainClasses = 256
+
+// Reset drops all free-list state and rewinds the region to its base,
+// the state NewFreeList leaves. The per-class lists are released; the
+// class map is reused unless it grew past retainClasses.
 func (f *FreeList) Reset() {
-	f.classes = make(map[uint64][]uint64)
+	if len(f.classes) > retainClasses {
+		f.classes = make(map[uint64][]uint64)
+	} else {
+		clear(f.classes)
+	}
 	f.Reused, f.Fresh = 0, 0
 	f.FreeBytes = 0
 	f.region.Reset()

@@ -50,8 +50,8 @@ var tierLegs = []struct {
 	{name: "pypy-jit", mode: runtime.PyPyJIT},
 }
 
-// bestOf times code on a pre-built pristine state (VM construction off
-// the clock, as on a warm pool worker) and returns the fastest of n runs
+// bestOf times code on a pristine state (the restore off the clock,
+// as on a warm pool worker) and returns the fastest of n runs
 // with the run's output.
 func bestOf(t *testing.T, cfg runtime.Config, code *pycode.Code, n int) (time.Duration, string) {
 	t.Helper()

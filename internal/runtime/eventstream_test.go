@@ -61,22 +61,33 @@ func (s *hashSink) Exec(ev *isa.Event) {
 }
 
 // streamOf runs one benchmark the way the Runner runs an attributed job
-// — state built against the null sink, then the observing sink attached
-// (buildState's order) — and returns the fingerprint of the stream and of
-// the program's output.
-func streamOf(t *testing.T, name string, mode Mode) string {
+// — state built or restored against the null sink, then the observing
+// sink attached — and returns the fingerprint of the stream and of
+// the program's output. A non-empty prior first runs that benchmark
+// unobserved on the same Runner and restores it with Reset, so the
+// stream comes from a reused VM.
+func streamOf(t *testing.T, name, prior string, mode Mode) string {
 	t.Helper()
-	b, err := pybench.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, err := NewRunner(ServingConfig(mode))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if prior != "" {
+		p, err := pybench.ByName(prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunCode(p.Compiled()); err != nil {
+			t.Fatalf("%s on %s: %v", prior, mode, err)
+		}
+	}
+	b, err := pybench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := newHashSink()
-	r.warm = r.buildState()
-	r.warm.eng.SetSink(h)
+	r.Reset()
+	r.st.eng.SetSink(h)
 	res, err := r.RunCode(b.Compiled())
 	if err != nil {
 		t.Fatalf("%s on %s: %v", name, mode, err)
@@ -91,16 +102,23 @@ func streamOf(t *testing.T, name string, mode Mode) string {
 // TestEventStreamGolden pins the armed event stream: the golden file was
 // generated at the commit before emission learned to skip work when no
 // sink is armed, and every (program, mode) stream must still hash to the
-// same value. The simulated cores, the breakdown-on-demand serving path
-// and every paper-reproduction figure consume exactly this stream.
+// same value, both on a fresh Runner and on one restored after running a
+// different benchmark. The simulated cores, the breakdown-on-demand
+// serving path and every paper-reproduction figure consume exactly this
+// stream.
 func TestEventStreamGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 36 armed benchmark executions")
+		t.Skip("runs 72 armed benchmark executions")
 	}
 	got := map[string]string{}
-	for _, name := range streamPrograms {
+	for i, name := range streamPrograms {
+		prior := streamPrograms[(i+1)%len(streamPrograms)]
 		for m := Mode(0); m < NumModes; m++ {
-			got[name+"/"+m.String()] = streamOf(t, name, m)
+			key := name + "/" + m.String()
+			got[key] = streamOf(t, name, "", m)
+			if restored := streamOf(t, name, prior, m); restored != got[key] {
+				t.Errorf("%s: stream after %s and Reset = %s, fresh Runner %s", key, prior, restored, got[key])
+			}
 		}
 	}
 	if *updateStreams {

@@ -209,27 +209,31 @@ func (r *Result) GCShare() float64 {
 // Runner executes programs under one configuration. A Runner is not safe
 // for concurrent use.
 //
-// Each execution runs on pristine VM state: RunCode consumes the
-// pre-built state left by Reset if one is waiting, and otherwise builds
-// its own, so two sequential runs on one Runner behave exactly like runs
-// on two fresh Runners. A warm worker pool calls Reset between jobs to
-// pay the VM construction cost off the job's critical path.
+// A Runner builds its execution state (engine, VM, heap, core model)
+// once and restores it between runs: each execution starts from the
+// exact state a freshly built VM would have (same simulated addresses,
+// counters and settings), so two sequential runs on one Runner behave
+// exactly like runs on two fresh Runners. RunCode restores a used state
+// itself; a warm worker pool calls Reset between jobs to do it off the
+// next job's critical path.
 type Runner struct {
-	cfg  Config
-	warm *runState
-	// Step-slice hook re-armed on every state (SetYield); lives beside
-	// the config so Reset-built warm states carry it too.
+	cfg Config
+	st  *runState
+	// used reports that st has run since it was built or restored.
+	used bool
+	// Step-slice hook armed on the state at every run (SetYield).
 	yieldQuantum uint64
 	yieldUrgent  *atomic.Bool
 	yieldFn      func() time.Duration
-	// Portable IC seed plumbing (SetICSeed / SetCollectICSeed), re-armed
-	// on every state like the yield hook.
+	// Portable IC seed plumbing (SetICSeed / SetCollectICSeed), armed
+	// at every run like the yield hook.
 	icSeed      *interp.ICSeed
 	collectSeed bool
 }
 
-// runState is the complete machinery for one execution: engine, VM,
-// optional JIT, and core model.
+// runState is the machinery for one execution: engine, VM, optional JIT,
+// and core model. The engine, VM and output buffer live as long as the
+// Runner; the JIT and core model are rebuilt for each run.
 type runState struct {
 	eng    *emit.Engine
 	vm     *interp.VM
@@ -237,7 +241,6 @@ type runState struct {
 	simple *uarch.SimpleCore
 	ooo    *uarch.OOOCore
 	out    *outBuffer
-	faults *faults.Injector // injector the state was built with
 }
 
 // NewRunner validates cfg and returns a Runner.
@@ -261,39 +264,30 @@ func NewRunner(cfg Config) (*Runner, error) {
 func (r *Runner) Config() Config { return r.cfg }
 
 // SetLimits replaces the resource limits applied to subsequent runs (a
-// worker pool arms per-job budgets on a warm Runner). Takes effect even
-// when a pre-built state from Reset is waiting.
+// worker pool arms per-job budgets on a warm Runner).
 func (r *Runner) SetLimits(l interp.Limits) { r.cfg.Limits = l }
 
 // SetFaults installs a chaos-mode fault injector for subsequent runs
-// (nil disables). Injectors are stateful and per-execution; soak
-// harnesses install a fresh one before each job.
+// (nil disables); every run arms the current injector on the heap and
+// the JIT. Injectors are stateful and per-execution; soak harnesses
+// install a fresh one before each job.
 func (r *Runner) SetFaults(in *faults.Injector) { r.cfg.Faults = in }
 
 // SetYield installs a cooperative step-slice hook on subsequent runs:
 // every quantum bytecodes, or within ~1k bytecodes of urgent (may be
 // nil) being set, the VM calls fn from the governor slow path, which may
-// park the goroutine (see interp.VM.SetYield). Takes effect even when a
-// pre-built state from Reset is waiting. quantum 0 or fn nil disarms.
+// park the goroutine (see interp.VM.SetYield). quantum 0 or fn nil
+// disarms.
 func (r *Runner) SetYield(quantum uint64, urgent *atomic.Bool, fn func() time.Duration) {
 	r.yieldQuantum, r.yieldUrgent, r.yieldFn = quantum, urgent, fn
-	if r.warm != nil {
-		r.warm.vm.SetYield(quantum, urgent, fn)
-	}
 }
 
 // SetICSeed arms (nil: disarms) a portable IC seed for subsequent runs:
 // the VM warm-starts its inline caches from a donor's observed shapes
 // (see interp.ICSeed — advisory only, semantics can never change).
-// Takes effect even when a pre-built state from Reset is waiting. Worker
-// pools must disarm between jobs: an armed seed binds to whatever
+// Worker pools must disarm between jobs: an armed seed binds to whatever
 // program runs next.
-func (r *Runner) SetICSeed(s *interp.ICSeed) {
-	r.icSeed = s
-	if r.warm != nil {
-		r.warm.vm.SetICSeed(s)
-	}
-}
+func (r *Runner) SetICSeed(s *interp.ICSeed) { r.icSeed = s }
 
 // SetCollectICSeed opts subsequent runs into exporting their quickened
 // state as a portable IC seed (Result.ICSeed). Off by default: the
@@ -301,19 +295,49 @@ func (r *Runner) SetICSeed(s *interp.ICSeed) {
 // callers that discard it.
 func (r *Runner) SetCollectICSeed(on bool) { r.collectSeed = on }
 
-// Reset discards any state from a previous execution and pre-builds a
-// pristine replacement for the next run. Calling it between jobs gives a
-// warm worker two guarantees: no state crosses from one job to the next
-// (the old VM, heap, and JIT are dropped wholesale), and the next job
-// skips VM construction on its critical path.
-func (r *Runner) Reset() { r.warm = r.buildState() }
+// Reset puts the Runner's state back to pristine for the next run: the
+// VM is rewound in place (interp.VM.Reset), not rebuilt; the output
+// buffer is emptied and the core model replaced (the JIT is replaced
+// when the next run starts).
+// Calling it between jobs gives a warm worker two guarantees: no state
+// crosses from one job to the next, and the next job skips the restore
+// on its critical path. The first call builds the state.
+func (r *Runner) Reset() {
+	if r.st == nil {
+		r.st = r.buildState()
+	} else {
+		r.restore(r.st)
+	}
+	r.used = false
+}
 
-// buildState constructs fresh execution state from the configuration.
+// buildState constructs the execution state from the configuration.
 func (r *Runner) buildState() *runState {
-	cfg := r.cfg
-	st := &runState{out: &outBuffer{tee: cfg.Stdout}, faults: cfg.Faults}
+	st := &runState{out: &outBuffer{}}
 	st.eng = emit.NewEngine(isa.NullSink{})
-	st.vm = interp.New(st.eng, heapConfig(cfg), st.out)
+	st.vm = interp.New(st.eng, heapConfig(r.cfg), st.out)
+	r.configure(st)
+	return st
+}
+
+// restore rewinds a used state to the one buildState returns.
+func (r *Runner) restore(st *runState) {
+	st.vm.Reset()
+	st.jit = nil
+	if cap(st.out.buf) > maxRetainedOutput {
+		st.out.buf = nil
+	}
+	st.out.buf, st.out.keep = st.out.buf[:0], false
+	r.configure(st)
+}
+
+// maxRetainedOutput bounds the output buffer a restore keeps for reuse.
+const maxRetainedOutput = 64 << 10
+
+// configure applies the configuration's fixed VM settings and a cold
+// core model to a pristine state.
+func (r *Runner) configure(st *runState) {
+	cfg := r.cfg
 	st.vm.SetQuicken(!cfg.NoQuicken)
 	if cfg.NoTier2 {
 		st.vm.SetPolyICs(false)
@@ -321,22 +345,7 @@ func (r *Runner) buildState() *runState {
 		st.vm.SetIntFast(false)
 	}
 	st.vm.MaxBytecodes = cfg.MaxBytecodes
-	st.vm.SetLimits(cfg.Limits)
-	st.vm.SetYield(r.yieldQuantum, r.yieldUrgent, r.yieldFn)
-	st.vm.SetICSeed(r.icSeed)
-	st.vm.Heap.SetFaults(cfg.Faults)
-
-	switch cfg.Mode {
-	case PyPyJIT:
-		jc := jit.DefaultConfig()
-		jc.Faults = cfg.Faults
-		st.jit = jit.New(st.vm, jc)
-	case V8Like:
-		jc := jit.V8LikeConfig()
-		jc.Faults = cfg.Faults
-		st.jit = jit.New(st.vm, jc)
-	}
-
+	st.simple, st.ooo = nil, nil
 	switch cfg.Core {
 	case SimpleCore:
 		st.simple = uarch.NewSimpleCore(cfg.Uarch)
@@ -347,24 +356,33 @@ func (r *Runner) buildState() *runState {
 	case CountOnly:
 		st.eng.SetSink(isa.NullSink{})
 	}
-	return st
 }
 
-// takeState returns the execution state for one RunCode call: the
-// pre-built pristine state if Reset left one (and it still matches the
-// configuration), else a fresh build.
+// takeState returns the execution state for one RunCode call, pristine
+// and armed with the current per-run settings: limits, yield hook, IC
+// seed, fault injector (on the heap and the JIT) and a new JIT for JIT
+// modes.
 func (r *Runner) takeState() *runState {
-	st := r.warm
-	r.warm = nil
-	if st == nil || st.faults != r.cfg.Faults {
-		return r.buildState()
+	if r.st == nil || r.used {
+		r.Reset()
 	}
-	// Re-arm the parts that may have changed since the state was built.
-	st.out.tee = r.cfg.Stdout
-	st.vm.MaxBytecodes = r.cfg.MaxBytecodes
-	st.vm.SetLimits(r.cfg.Limits)
+	r.used = true
+	st, cfg := r.st, r.cfg
+	st.out.tee = cfg.Stdout
+	st.vm.SetLimits(cfg.Limits)
 	st.vm.SetYield(r.yieldQuantum, r.yieldUrgent, r.yieldFn)
 	st.vm.SetICSeed(r.icSeed)
+	st.vm.Heap.SetFaults(cfg.Faults)
+	switch cfg.Mode {
+	case PyPyJIT:
+		jc := jit.DefaultConfig()
+		jc.Faults = cfg.Faults
+		st.jit = jit.New(st.vm, jc)
+	case V8Like:
+		jc := jit.V8LikeConfig()
+		jc.Faults = cfg.Faults
+		st.jit = jit.New(st.vm, jc)
+	}
 	return st
 }
 

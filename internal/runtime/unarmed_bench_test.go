@@ -50,14 +50,14 @@ func TestServingUnarmedGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// timeRun executes the job once on a pre-built state (construction
+	// timeRun executes the job once on a pristine state (the restore
 	// off the clock, as on a warm pool worker), armed or not.
 	timeRun := func(armed bool) time.Duration {
 		t.Helper()
 		r.Reset()
 		var counts isa.CountSink
 		if armed {
-			r.warm.eng.SetSink(&counts)
+			r.st.eng.SetSink(&counts)
 		}
 		start := time.Now()
 		res, err := r.RunCode(code)

@@ -119,11 +119,14 @@ func TestBreakdownPlumbing(t *testing.T) {
 		}
 	}
 	// A breakdown job in a JIT mode exercises the attributed runner's
-	// compiled phases too.
+	// compiled phases too. Attribution plus the race detector can take
+	// it past the pool's 200ms test deadline on a loaded machine; the
+	// test checks plumbing, not time, so the job carries its own.
 	jit := pool.Submit(&Job{
 		Name: "jit.py",
 		Src:  "acc = 0\nfor i in xrange(3000):\n    acc = acc + i\nprint(acc)\n",
 		Mode: runtime.PyPyJIT, Breakdown: true,
+		Limits: interp.Limits{Deadline: 5 * time.Second},
 	})
 	if jit.Class != ClassOK || jit.Breakdown == nil {
 		t.Fatalf("jit breakdown job: %s %s", jit.Class, jit.Err)
